@@ -13,7 +13,10 @@
 //      plus the kAvx2 backend serial vs blocked serial (acceptance
 //      floor: >= 5x on hosts where the vector kernel dispatches).
 //   4. SIMD dispatch: AES-GCM accel vs forced-scalar on the same
-//      payload (acceptance floor: >= 10x where AES-NI dispatches).
+//      payload (acceptance floor: >= 10x where AES-NI dispatches), and
+//      seal+open MB/s of every GCM tier the host supports at 1, 4, 12
+//      and 64 KiB records (acceptance floor: the VAES tier >= 1.5x the
+//      AES-NI tier at 12 and 64 KiB where both run).
 //
 // Results go to stdout and to a machine-readable JSON summary at
 // $MVTEE_BENCH_JSON (default ./BENCH_data_plane.json) so CI can archive
@@ -24,6 +27,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -31,6 +35,7 @@
 #include "bench/bench_common.h"
 #include "core/messages.h"
 #include "crypto/aead.h"
+#include "crypto/gcm_tiers.h"
 #include "runtime/gemm.h"
 #include "tee/enclave.h"
 #include "tensor/tensor.h"
@@ -114,7 +119,7 @@ AeadResult RunAead(size_t payload, int inner_iters) {
 }
 
 // AES-GCM dispatch delta: the same seal+open round trip with the
-// runtime dispatcher allowed to pick AES-NI/PCLMUL vs forced onto the
+// runtime dispatcher allowed to pick its fastest tier vs forced onto the
 // portable 8-bit-table path. Ciphertext is identical either way; only
 // throughput moves.
 struct AeadDispatchResult {
@@ -161,6 +166,81 @@ AeadDispatchResult RunAeadDispatch(size_t payload) {
                       1e6;
   }
   return out;
+}
+
+// Seal+open MB/s of each GCM tier, pinned with ScopedGcmTier, at the
+// record sizes the channels carry (mvx records average ~3.5 KB,
+// interactive ones ~12 KB). The tiers produce identical bytes
+// (crypto_test), so only throughput differs.
+constexpr crypto::GcmTier kGcmTiers[] = {crypto::GcmTier::kPortable,
+                                         crypto::GcmTier::kAesNi,
+                                         crypto::GcmTier::kVaes512};
+
+struct AeadTierResult {
+  size_t payload = 0;
+  // Indexed by GcmTier (kGcmTiers is in enum order); 0 where the tier
+  // is absent.
+  double mbps[std::size(kGcmTiers)] = {};
+  double of(crypto::GcmTier tier) const {
+    return mbps[static_cast<size_t>(tier)];
+  }
+};
+
+// Below this the VAES tier fails its floor against the AES-NI tier at
+// the 12 and 64 KiB records.
+constexpr double kWideTierFloor = 1.5;
+
+std::vector<AeadTierResult> RunAeadTiers() {
+  util::Rng rng(0x9c3);
+  Bytes key(32), nonce(crypto::kGcmNonceSize), aad(24);
+  for (auto* b : {&key, &nonce, &aad}) {
+    for (auto& byte : *b) byte = static_cast<uint8_t>(rng.NextU64());
+  }
+  crypto::AesGcm gcm(key);
+  std::vector<AeadTierResult> out;
+  for (size_t payload : {size_t{1} << 10, size_t{4} << 10, size_t{12} << 10,
+                         size_t{64} << 10}) {
+    Bytes buf(payload + crypto::kGcmTagSize);
+    for (auto& byte : buf) byte = static_cast<uint8_t>(rng.NextU64());
+    AeadTierResult row;
+    row.payload = payload;
+    for (size_t t = 0; t < std::size(kGcmTiers); ++t) {
+      if (!crypto::GcmTierSupported(kGcmTiers[t])) continue;
+      crypto::ScopedGcmTier pin(kGcmTiers[t]);
+      auto round_trip = [&] {
+        gcm.SealInPlace(nonce, aad, buf.data(), payload);
+        auto n = gcm.OpenInPlace(nonce, aad, buf.data(), buf.size());
+        MVTEE_CHECK(n.ok() && *n == payload);
+      };
+      // ~4 MB per timed rep on the vector tiers, ~128 KB on portable.
+      const size_t budget =
+          kGcmTiers[t] == crypto::GcmTier::kPortable ? 128 << 10 : 4 << 20;
+      const int iters = static_cast<int>(std::max<size_t>(2, budget / payload));
+      round_trip();
+      row.mbps[t] = static_cast<double>(payload) * iters /
+                    TimeMedian(5, [&] {
+                      for (int i = 0; i < iters; ++i) round_trip();
+                    }) /
+                    1e6;
+    }
+    out.push_back(row);
+  }
+  return out;
+}
+
+// VAES over AES-NI at the 12 and 64 KiB records (the lower of the two);
+// 0 when the host lacks either tier.
+double WideTierSpeedup(const std::vector<AeadTierResult>& tiers) {
+  double worst = 0;
+  for (const AeadTierResult& r : tiers) {
+    if (r.payload < (12u << 10) || r.of(crypto::GcmTier::kAesNi) <= 0) {
+      continue;
+    }
+    const double x =
+        r.of(crypto::GcmTier::kVaes512) / r.of(crypto::GcmTier::kAesNi);
+    worst = worst == 0 ? x : std::min(worst, x);
+  }
+  return worst;
 }
 
 // ------------------------------------------------ checkpoint round trip
@@ -336,8 +416,9 @@ GemmResult RunGemm(int64_t m, int64_t n, int64_t k, size_t threads) {
 // --------------------------------------------------------------- main
 
 void WriteJson(const std::vector<AeadResult>& aead,
-               const AeadDispatchResult& aead_disp, const RoundTripResult& rt,
-               const GemmResult& gemm) {
+               const AeadDispatchResult& aead_disp,
+               const std::vector<AeadTierResult>& tiers,
+               const RoundTripResult& rt, const GemmResult& gemm) {
   const char* path = std::getenv("MVTEE_BENCH_JSON");
   if (path == nullptr) path = "BENCH_data_plane.json";
   std::FILE* f = std::fopen(path, "w");
@@ -371,6 +452,28 @@ void WriteJson(const std::vector<AeadResult>& aead,
       aead_disp.accel_mbps, aead_disp.scalar_mbps, aead_disp.speedup(),
       aead_floor_applies ? "true" : "false",
       aead_floor_applies ? "false" : "true");
+  std::fprintf(f, "  \"aead_tiers\": {\n    \"selected\": \"%s\",\n"
+                  "    \"seal_open_mbps\": [\n",
+               crypto::GcmTierName(crypto::SelectedGcmTier()));
+  for (size_t i = 0; i < tiers.size(); ++i) {
+    std::fprintf(f, "      {\"payload_bytes\": %zu", tiers[i].payload);
+    for (size_t t = 0; t < std::size(kGcmTiers); ++t) {
+      if (tiers[i].mbps[t] > 0) {
+        std::fprintf(f, ", \"%s\": %.1f", crypto::GcmTierName(kGcmTiers[t]),
+                     tiers[i].mbps[t]);
+      } else {
+        std::fprintf(f, ", \"%s\": null", crypto::GcmTierName(kGcmTiers[t]));
+      }
+    }
+    std::fprintf(f, "}%s\n", i + 1 < tiers.size() ? "," : "");
+  }
+  const double wide_x = WideTierSpeedup(tiers);
+  std::fprintf(f,
+               "    ],\n    \"wide_vs_128_speedup_x\": %.2f,\n"
+               "    \"floor_applies\": %s,\n"
+               "    \"floor_waived\": %s\n  },\n",
+               wide_x, wide_x > 0 ? "true" : "false",
+               wide_x > 0 ? "false" : "true");
   std::fprintf(
       f,
       "  \"checkpoint_round_trip\": {\n"
@@ -430,7 +533,7 @@ int Main() {
                 r.legacy_mbps > 0 ? r.inplace_mbps / r.legacy_mbps : 0.0);
   }
 
-  // 1b. AES-GCM dispatch delta (AES-NI/PCLMUL vs portable tables).
+  // 1b. AES-GCM dispatch delta (selected tier vs portable tables).
   const AeadDispatchResult aead_disp = RunAeadDispatch(1 << 20);
   std::printf("\nAES-GCM dispatch [%s]: accel %.1f MB/s vs scalar %.1f MB/s"
               " | %.2fx (floor: 10x)%s\n",
@@ -440,6 +543,35 @@ int Main() {
                   ? (aead_disp.speedup() >= 10.0 ? ""
                                                  : "  ** BELOW FLOOR **")
                   : "  (floor waived: no AES-NI dispatch)");
+
+  // 1c. Every GCM tier the host supports, at the channels' record sizes.
+  const std::vector<AeadTierResult> tiers = RunAeadTiers();
+  std::printf("\nAES-GCM tiers, seal+open MB/s (selected: %s)\n",
+              crypto::GcmTierName(crypto::SelectedGcmTier()));
+  PrintRule();
+  std::printf("%-12s |", "payload");
+  for (crypto::GcmTier tier : kGcmTiers) {
+    std::printf(" %10s", crypto::GcmTierName(tier));
+  }
+  std::printf("\n");
+  for (const AeadTierResult& r : tiers) {
+    std::printf("%9zu KiB |", r.payload >> 10);
+    for (double mbps : r.mbps) {
+      if (mbps > 0) {
+        std::printf(" %10.1f", mbps);
+      } else {
+        std::printf(" %10s", "-");
+      }
+    }
+    std::printf("\n");
+  }
+  const double wide_x = WideTierSpeedup(tiers);
+  const bool wide_measured = wide_x > 0;
+  std::printf("vaes512 vs aesni128 at 12/64 KiB: %.2fx (floor: %.1fx)%s\n",
+              wide_x, kWideTierFloor,
+              wide_measured ? (wide_x >= kWideTierFloor ? ""
+                                                        : "  ** BELOW FLOOR **")
+                            : "  (floor waived: no VAES tier on this host)");
 
   // 2. Checkpoint round trip over an attested secure channel.
   ChannelPair pair;
@@ -490,8 +622,9 @@ int Main() {
                                                 : "  ** BELOW FLOOR **")
                   : "  (floor waived: no AVX2 dispatch)");
 
-  WriteJson(aead, aead_disp, rt, gemm);
+  WriteJson(aead, aead_disp, tiers, rt, gemm);
   const bool ok = rt.copy_ratio() >= 2.0 &&
+                  (!wide_measured || wide_x >= kWideTierFloor) &&
                   (!gemm_floor_applies || gemm.speedup() >= 2.0) &&
                   (!gemm.avx2_dispatched || gemm.avx2_speedup() >= 5.0) &&
                   (!aead_disp.accelerated || aead_disp.speedup() >= 10.0);

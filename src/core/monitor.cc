@@ -331,6 +331,8 @@ void Monitor::BindMetrics() {
   m_.verify_queue_depth_hwm =
       &metrics_->GetGauge("monitor.verify_queue_depth_hwm");
   m_.loop_heartbeat = &metrics_->GetCounter("monitor.loop_heartbeat");
+  m_.verify_workers_started =
+      &metrics_->GetCounter("monitor.verify_workers_started");
   for (size_t s = 0; s < stages_.size(); ++s) {
     const std::string prefix = "monitor.stage" + std::to_string(s) + ".";
     StageMetrics& sm = stages_[s].metrics;
@@ -1195,8 +1197,17 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
   auto bat = [&](size_t b) -> BatchState& { return bs[b - window_base]; };
   // Cross-validation worker pool (declared after `bs`: destroyed first,
   // so in-flight jobs never outlive the state they read). Completed
-  // jobs notify the wait set so the loop below wakes up.
-  VerifyPool pool(config_.verify_threads, wait_set_);
+  // jobs notify the wait set so the loop below wakes up. Only MVX
+  // panels (stages with more than one variant) submit jobs, so without
+  // one the pool starts no workers: a serving stream ends whenever the
+  // queue drains, and would otherwise spawn and join idle workers per
+  // request.
+  const bool has_panel =
+      std::any_of(stages_.begin(), stages_.end(), [](const StageState& st) {
+        return st.variants.size() > 1;
+      });
+  VerifyPool pool(has_panel ? config_.verify_threads : 0, wait_set_);
+  m_.verify_workers_started->Add(static_cast<uint64_t>(pool.threads()));
 
   // Flight recorder (DESIGN.md §8): every committed verdict is noted
   // into the bounded ring; on divergence / auth failure / abort the
@@ -1479,12 +1490,6 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
         m_.batches_completed->Add(rstats.batch_latency_us.size());
         for (int64_t lat : rstats.batch_latency_us) {
           m_.batch_latency_us->Observe(lat);
-        }
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          pending_latencies_.insert(pending_latencies_.end(),
-                                    rstats.batch_latency_us.begin(),
-                                    rstats.batch_latency_us.end());
         }
         rstats.checkpoints_evaluated = 0;
         rstats.fast_path_forwards = 0;
@@ -2354,7 +2359,9 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
   }
 
   // Merge this run into the registry (even on error: partial work shows
-  // up in the dump) and into the ConsumeStats() backlog.
+  // up in the dump) and, for a one-shot group, into the ConsumeStats()
+  // latency backlog. A serving stream has no consumer for that list, so
+  // its latencies go to the histogram only.
   rstats.wall_us = std::max<int64_t>(1, last_completion_vus - run_vstart);
   rstats.bytes_sent = channel_bytes() - bytes0;
   m_.wall_us->Add(static_cast<uint64_t>(rstats.wall_us));
@@ -2368,7 +2375,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
   for (int64_t lat : rstats.batch_latency_us) {
     m_.batch_latency_us->Observe(lat);
   }
-  {
+  if (feed == nullptr) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     pending_latencies_.insert(pending_latencies_.end(),
                               rstats.batch_latency_us.begin(),

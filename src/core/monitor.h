@@ -370,6 +370,8 @@ class Monitor {
 
   // Snapshot-and-reset of the cumulative run statistics, sourced from
   // the metrics registry (delta since the previous consume).
+  // batch_latency_us lists the batches of Run() calls only; requests
+  // served through sessions appear in monitor.batch_latency_us.
   RunStats ConsumeStats();
   // Registry every monitor metric is recorded into (process default).
   obs::Registry& metrics() const { return *metrics_; }
@@ -563,10 +565,15 @@ class Monitor {
     // iteration. The stall watchdog samples it; sustained silence while
     // work is pending means the loop is wedged.
     obs::Counter* loop_heartbeat = nullptr;
+    // Verify-pool worker threads started, summed over runs and streams
+    // (zero while no stage has an MVX panel).
+    obs::Counter* verify_workers_started = nullptr;
   };
   MonitorMetrics m_{};
   mutable std::mutex stats_mu_;
-  std::vector<int64_t> pending_latencies_;  // since last ConsumeStats
+  // Batch latencies of one-shot Run() groups since the last
+  // ConsumeStats; serving streams record to the histogram only.
+  std::vector<int64_t> pending_latencies_;
   RunStats consumed_base_;                  // counter values at last consume
   std::atomic<uint64_t> next_batch_id_{0};
 

@@ -1,9 +1,9 @@
 #include "crypto/aead.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
-#include "crypto/aes_accel.h"
 #include "util/cpu_features.h"
 #include "util/dataplane_stats.h"
 
@@ -42,15 +42,85 @@ inline void StoreU64BE(uint8_t* p, uint64_t v) {
   }
 }
 
-inline void Inc32(uint8_t block[16]) {
-  for (int i = 15; i >= 12; --i) {
-    if (++block[i] != 0) break;
+// Z <- Z * H with the 8-bit tables, one byte digit at a time.
+void MulH(const uint64_t* hh, const uint64_t* hl, uint64_t& zh,
+          uint64_t& zl) {
+  uint8_t x[16];
+  StoreU64BE(x, zh);
+  StoreU64BE(x + 8, zl);
+  uint64_t rzh = hh[x[15]];
+  uint64_t rzl = hl[x[15]];
+  for (int i = 14; i >= 0; --i) {
+    const uint8_t rem = static_cast<uint8_t>(rzl & 0xff);
+    rzl = (rzh << 56) | (rzl >> 8);
+    rzh = rzh >> 8;
+    rzh ^= static_cast<uint64_t>(kRem8[rem]) << 48;
+    rzh ^= hh[x[i]];
+    rzl ^= hl[x[i]];
   }
+  zh = rzh;
+  zl = rzl;
 }
+
+void MakeJ0(util::ByteSpan nonce, uint8_t j0[16]) {
+  std::memcpy(j0, nonce.data(), kGcmNonceSize);
+  j0[12] = j0[13] = j0[14] = 0;
+  j0[15] = 1;
+}
+
+// The tier pinned on this thread by a live ScopedGcmTier, or -1.
+thread_local int t_pinned_tier = -1;
+
 }  // namespace
 
+const char* GcmTierName(GcmTier tier) {
+  switch (tier) {
+    case GcmTier::kPortable:
+      return "portable";
+    case GcmTier::kAesNi:
+      return "aesni128";
+    case GcmTier::kVaes512:
+      return "vaes512";
+  }
+  return "unknown";
+}
+
+bool GcmTierSupported(GcmTier tier) {
+  const util::CpuFeatures& f = util::HostCpuFeatures();
+  const bool aes = f.aes && f.pclmul && f.ssse3;
+  switch (tier) {
+    case GcmTier::kPortable:
+      return true;
+    case GcmTier::kAesNi:
+      return gcm::aesni::Compiled() && aes;
+    case GcmTier::kVaes512:
+      // __builtin_cpu_supports also checks that the OS saves the ZMM
+      // register state.
+      return gcm::vaes512::Compiled() && aes && f.avx512f && f.avx512bw &&
+             f.vaes && f.vpclmulqdq;
+  }
+  return false;
+}
+
+GcmTier SelectedGcmTier() {
+  if (t_pinned_tier >= 0) return static_cast<GcmTier>(t_pinned_tier);
+  if (!util::UseAesGcmAccel()) return GcmTier::kPortable;
+  static const GcmTier fastest =
+      GcmTierSupported(GcmTier::kVaes512) ? GcmTier::kVaes512
+      : GcmTierSupported(GcmTier::kAesNi) ? GcmTier::kAesNi
+                                          : GcmTier::kPortable;
+  return fastest;
+}
+
+ScopedGcmTier::ScopedGcmTier(GcmTier tier) : previous_(t_pinned_tier) {
+  MVTEE_CHECK(GcmTierSupported(tier));
+  t_pinned_tier = static_cast<int>(tier);
+}
+
+ScopedGcmTier::~ScopedGcmTier() { t_pinned_tier = previous_; }
+
 bool AesGcmAccelerated() {
-  return accel::Compiled() && util::UseAesGcmAccel();
+  return SelectedGcmTier() != GcmTier::kPortable;
 }
 
 AesGcm::AesGcm(util::ByteSpan key) : aes_(key) {
@@ -58,8 +128,6 @@ AesGcm::AesGcm(util::ByteSpan key) : aes_(key) {
 
   uint8_t h[16] = {0};
   aes_.EncryptBlock(h, h);
-  std::memcpy(h_, h, 16);
-
   uint64_t vh = LoadU64BE(h);
   uint64_t vl = LoadU64BE(h + 8);
 
@@ -84,115 +152,104 @@ AesGcm::AesGcm(util::ByteSpan key) : aes_(key) {
       hl_[i + j] = base_l ^ hl_[j];
     }
   }
-}
 
-void AesGcm::GHashBlocks(uint64_t& zh, uint64_t& zl, const uint8_t* blocks,
-                         size_t nblocks) const {
-  if (AesGcmAccelerated()) {
-    accel::GhashBlocks(h_, zh, zl, blocks, nblocks);
-    return;
-  }
-  uint8_t x[16];
-  for (size_t b = 0; b < nblocks; ++b) {
-    // XOR the running value into the block (GHASH chaining), then
-    // multiply by H one byte digit at a time.
-    const uint64_t yh = zh ^ LoadU64BE(blocks + 16 * b);
-    const uint64_t yl = zl ^ LoadU64BE(blocks + 16 * b + 8);
-    StoreU64BE(x, yh);
-    StoreU64BE(x + 8, yl);
-
-    uint64_t rzh = hh_[x[15]];
-    uint64_t rzl = hl_[x[15]];
-    for (int i = 14; i >= 0; --i) {
-      const uint8_t rem = static_cast<uint8_t>(rzl & 0xff);
-      rzl = (rzh << 56) | (rzl >> 8);
-      rzh = rzh >> 8;
-      rzh ^= static_cast<uint64_t>(kRem8[rem]) << 48;
-      rzh ^= hh_[x[i]];
-      rzl ^= hl_[x[i]];
+  // Vector-tier material: the portable schedule's big-endian words
+  // serialized into AESENC byte order, and H^1..H^16 byte-reflected.
+  vkey_.rounds = aes_.rounds();
+  const uint32_t* w = aes_.round_key_words();
+  for (int r = 0; r <= vkey_.rounds; ++r) {
+    for (int b = 0; b < 16; ++b) {
+      vkey_.round_keys[r][b] =
+          static_cast<uint8_t>(w[4 * r + b / 4] >> (24 - 8 * (b % 4)));
     }
-    zh = rzh;
-    zl = rzl;
+  }
+  uint64_t ph = hh_[0x80], pl = hl_[0x80];  // H^1
+  for (int i = 1; i <= 16; ++i) {
+    uint8_t be[16];
+    StoreU64BE(be, ph);
+    StoreU64BE(be + 8, pl);
+    for (int b = 0; b < 16; ++b) vkey_.h_powers[16 - i][15 - b] = be[b];
+    MulH(hh_, hl_, ph, pl);
   }
 }
 
-void AesGcm::GHash(util::ByteSpan aad, util::ByteSpan data,
-                   uint8_t out[16]) const {
-  uint64_t zh = 0, zl = 0;
-  uint8_t block[16];
-
-  auto process = [&](util::ByteSpan d) {
-    const size_t full = d.size() / 16;
-    if (full > 0) GHashBlocks(zh, zl, d.data(), full);
-    if (full * 16 < d.size()) {
-      std::memset(block, 0, 16);
-      std::memcpy(block, d.data() + full * 16, d.size() - full * 16);
-      GHashBlocks(zh, zl, block, 1);
-    }
-  };
-
-  process(aad);
-  process(data);
-
-  StoreU64BE(block, static_cast<uint64_t>(aad.size()) * 8);
-  StoreU64BE(block + 8, static_cast<uint64_t>(data.size()) * 8);
-  GHashBlocks(zh, zl, block, 1);
-
-  StoreU64BE(out, zh);
-  StoreU64BE(out + 8, zl);
+void AesGcm::GHashPortable(uint64_t& zh, uint64_t& zl, const uint8_t* data,
+                           size_t len) const {
+  for (size_t off = 0; off < len; off += 16) {
+    uint8_t block[16] = {0};
+    std::memcpy(block, data + off, std::min<size_t>(16, len - off));
+    zh ^= LoadU64BE(block);
+    zl ^= LoadU64BE(block + 8);
+    MulH(hh_, hl_, zh, zl);
+  }
 }
 
-void AesGcm::CtrCrypt(const uint8_t j0[16], util::ByteSpan in,
-                      uint8_t* out) const {
-  if (AesGcmAccelerated()) {
-    accel::CtrXor(aes_.round_key_words(), aes_.rounds(), j0, in.data(), out,
-                  in.size());
-    return;
+void AesGcm::CtrCrypt(GcmTier tier, const uint8_t j0[16], const uint8_t* in,
+                      uint8_t* out, size_t len) const {
+  switch (tier) {
+    case GcmTier::kVaes512:
+      gcm::vaes512::CtrXor(vkey_, j0, in, out, len);
+      return;
+    case GcmTier::kAesNi:
+      gcm::aesni::CtrXor(vkey_, j0, in, out, len);
+      return;
+    case GcmTier::kPortable:
+      break;
   }
   uint8_t counter[16];
   std::memcpy(counter, j0, 16);
   uint8_t keystream[16];
-  size_t i = 0;
-  while (i < in.size()) {
-    Inc32(counter);
+  for (size_t i = 0; i < len; i += 16) {
+    for (int b = 15; b >= 12; --b) {  // inc32
+      if (++counter[b] != 0) break;
+    }
     aes_.EncryptBlock(counter, keystream);
-    size_t n = std::min<size_t>(16, in.size() - i);
+    const size_t n = std::min<size_t>(16, len - i);
     for (size_t k = 0; k < n; ++k) out[i + k] = in[i + k] ^ keystream[k];
-    i += n;
   }
 }
 
-void AesGcm::ComputeTag(util::ByteSpan nonce, util::ByteSpan aad,
-                        util::ByteSpan ciphertext, uint8_t tag[16]) const {
-  uint8_t j0[16];
-  std::memcpy(j0, nonce.data(), 12);
-  j0[12] = j0[13] = j0[14] = 0;
-  j0[15] = 1;
-
-  uint8_t s[16];
-  GHash(aad, ciphertext, s);
+void AesGcm::ComputeTag(GcmTier tier, const uint8_t j0[16],
+                        util::ByteSpan aad, util::ByteSpan ciphertext,
+                        uint8_t tag[16]) const {
+  switch (tier) {
+    case GcmTier::kVaes512:
+      gcm::vaes512::Tag(vkey_, j0, aad.data(), aad.size(), ciphertext.data(),
+                        ciphertext.size(), tag);
+      return;
+    case GcmTier::kAesNi:
+      gcm::aesni::Tag(vkey_, j0, aad.data(), aad.size(), ciphertext.data(),
+                      ciphertext.size(), tag);
+      return;
+    case GcmTier::kPortable:
+      break;
+  }
+  uint64_t zh = 0, zl = 0;
+  GHashPortable(zh, zl, aad.data(), aad.size());
+  GHashPortable(zh, zl, ciphertext.data(), ciphertext.size());
+  zh ^= static_cast<uint64_t>(aad.size()) * 8;
+  zl ^= static_cast<uint64_t>(ciphertext.size()) * 8;
+  MulH(hh_, hl_, zh, zl);
 
   uint8_t e_j0[16];
   aes_.EncryptBlock(j0, e_j0);
-  for (int i = 0; i < 16; ++i) tag[i] = s[i] ^ e_j0[i];
+  StoreU64BE(tag, zh);
+  StoreU64BE(tag + 8, zl);
+  for (int i = 0; i < 16; ++i) tag[i] ^= e_j0[i];
 }
 
 void AesGcm::SealInPlace(util::ByteSpan nonce, util::ByteSpan aad,
                          uint8_t* buf, size_t plaintext_len) const {
   MVTEE_CHECK(nonce.size() == kGcmNonceSize);
-
+  const GcmTier tier = SelectedGcmTier();
   uint8_t j0[16];
-  std::memcpy(j0, nonce.data(), 12);
-  j0[12] = j0[13] = j0[14] = 0;
-  j0[15] = 1;
+  MakeJ0(nonce, j0);
 
   // CTR encryption is an elementwise XOR with the keystream, so writing
   // the ciphertext over the plaintext it came from is well-defined.
-  CtrCrypt(j0, util::ByteSpan(buf, plaintext_len), buf);
-
-  uint8_t tag[16];
-  ComputeTag(nonce, aad, util::ByteSpan(buf, plaintext_len), tag);
-  std::memcpy(buf + plaintext_len, tag, kGcmTagSize);
+  CtrCrypt(tier, j0, buf, buf, plaintext_len);
+  ComputeTag(tier, j0, aad, util::ByteSpan(buf, plaintext_len),
+             buf + plaintext_len);
 }
 
 util::Result<size_t> AesGcm::OpenInPlace(util::ByteSpan nonce,
@@ -204,21 +261,18 @@ util::Result<size_t> AesGcm::OpenInPlace(util::ByteSpan nonce,
   if (len < kGcmTagSize) {
     return util::AuthenticationFailure("ciphertext shorter than tag");
   }
+  const GcmTier tier = SelectedGcmTier();
   const size_t ct_len = len - kGcmTagSize;
-  util::ByteSpan ciphertext(buf, ct_len);
-  util::ByteSpan tag(buf + ct_len, kGcmTagSize);
+  uint8_t j0[16];
+  MakeJ0(nonce, j0);
 
   uint8_t expected_tag[16];
-  ComputeTag(nonce, aad, ciphertext, expected_tag);
-  if (!util::ConstantTimeEqual(util::ByteSpan(expected_tag, 16), tag)) {
+  ComputeTag(tier, j0, aad, util::ByteSpan(buf, ct_len), expected_tag);
+  if (!util::ConstantTimeEqual(util::ByteSpan(expected_tag, 16),
+                               util::ByteSpan(buf + ct_len, kGcmTagSize))) {
     return util::AuthenticationFailure("GCM tag mismatch");
   }
-
-  uint8_t j0[16];
-  std::memcpy(j0, nonce.data(), 12);
-  j0[12] = j0[13] = j0[14] = 0;
-  j0[15] = 1;
-  CtrCrypt(j0, ciphertext, buf);
+  CtrCrypt(tier, j0, buf, buf, ct_len);
   return ct_len;
 }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 
 #include "crypto/aes.h"
+#include "crypto/gcm_tiers.h"
 #include "util/bytes.h"
 #include "util/status.h"
 
@@ -47,27 +48,29 @@ class AesGcm {
                                    uint8_t* buf, size_t len) const;
 
  private:
-  // Folds `nblocks` full 16-byte blocks into the running GHASH state,
-  // dispatching per call between PCLMUL and the 8-bit tables. Both
-  // paths compute the same exact GF(2^128) arithmetic, so ciphertext
-  // and tags are identical regardless of which one runs.
-  void GHashBlocks(uint64_t& zh, uint64_t& zl, const uint8_t* blocks,
-                   size_t nblocks) const;
-  void GHash(util::ByteSpan aad, util::ByteSpan data, uint8_t out[16]) const;
-  void CtrCrypt(const uint8_t j0[16], util::ByteSpan in, uint8_t* out) const;
-  void ComputeTag(util::ByteSpan nonce, util::ByteSpan aad,
+  // The two GCM primitives, run on `tier` (gcm_tiers.h). Every tier
+  // computes the same exact GF(2^128) and AES arithmetic, so ciphertext
+  // and tags are identical whichever one runs.
+  void CtrCrypt(GcmTier tier, const uint8_t j0[16], const uint8_t* in,
+                uint8_t* out, size_t len) const;
+  void ComputeTag(GcmTier tier, const uint8_t j0[16], util::ByteSpan aad,
                   util::ByteSpan ciphertext, uint8_t tag[16]) const;
+  // Portable GHASH: folds `len` bytes (zero-padded to a block) into the
+  // running state (zh, zl) with the 8-bit tables.
+  void GHashPortable(uint64_t& zh, uint64_t& zl, const uint8_t* data,
+                     size_t len) const;
 
   Aes aes_;
-  uint8_t h_[16];  // H = E(K, 0): the PCLMUL path's multiplier
+  // Round keys and H^1..H^16 for the vector tiers, built once per key.
+  gcm::VectorKey vkey_;
   // Shoup 8-bit GHASH tables (4 KiB) for the portable path.
   uint64_t hl_[256];
   uint64_t hh_[256];
 };
 
-// True when Seal/Open/SealInPlace/OpenInPlace run the AES-NI + PCLMUL
-// fast path on this host (TU compiled in, CPUID approves, MVTEE_SIMD
-// not 0). Output bytes are identical either way.
+// True when Seal/Open/SealInPlace/OpenInPlace run a vector tier (AES-NI
+// or VAES) on this thread right now; SelectedGcmTier() names which.
+// Output bytes are identical either way.
 bool AesGcmAccelerated();
 
 }  // namespace mvtee::crypto

@@ -174,14 +174,16 @@ AdminServer::HttpResponse AdminServer::Status() {
   build.emplace_back("cpu_features", util::CpuFeatureString());
   build.emplace_back("simd_enabled", util::SimdEnabled());
   // Structured dispatch provenance: which accelerated tiers actually
-  // run on this host right now, plus detected-but-not-yet-dispatched
-  // ISA bits (avx512f is surfaced so deployments can see the headroom;
-  // a full AVX-512 GEMM tier remains a ROADMAP item).
+  // run on this host right now. AES-GCM names its tier (portable,
+  // aesni128 or vaes512, the last on AVX-512); GEMM has no AVX-512 tier
+  // yet (ROADMAP), so an avx512f host reports that headroom.
   obs::JsonValue::Object simd;
   simd.emplace_back("avx2_gemm", runtime::GemmAvx2Accelerated());
   simd.emplace_back("avx2_elementwise", util::UseAvx2Elementwise());
   simd.emplace_back("aes_gcm", crypto::AesGcmAccelerated());
-  simd.emplace_back("avx512f_detected_unused",
+  simd.emplace_back("aes_gcm_tier",
+                    crypto::GcmTierName(crypto::SelectedGcmTier()));
+  simd.emplace_back("avx512f_unused_by_gemm",
                     util::HostCpuFeatures().avx512f);
   build.emplace_back("simd_dispatch", std::move(simd));
   body.emplace_back("build", std::move(build));

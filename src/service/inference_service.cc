@@ -1,5 +1,6 @@
 #include "service/inference_service.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/messages.h"
@@ -48,12 +49,36 @@ void InferenceService::Stop() {
     for (auto& channel : channels_) channel->Close();
     channels_.clear();
     threads.swap(session_threads_);
+    finished_.clear();
   }
   for (auto& t : threads) t.join();
 }
 
+size_t InferenceService::session_threads() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return session_threads_.size();
+}
+
+void InferenceService::ReapFinishedSessions() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const std::thread::id id : finished_) {
+      auto it = std::find_if(
+          session_threads_.begin(), session_threads_.end(),
+          [id](const std::thread& t) { return t.get_id() == id; });
+      if (it == session_threads_.end()) continue;
+      done.push_back(std::move(*it));
+      session_threads_.erase(it);
+    }
+    finished_.clear();
+  }
+  for (std::thread& t : done) t.join();
+}
+
 void InferenceService::AcceptLoop() {
   for (;;) {
+    ReapFinishedSessions();
     auto endpoint = listener_.Accept(200'000);
     if (!endpoint.ok()) {
       if (endpoint.status().code() == util::StatusCode::kUnavailable) return;
@@ -74,6 +99,16 @@ void InferenceService::AcceptLoop() {
 }
 
 void InferenceService::ServeSession(transport::Endpoint endpoint) {
+  std::shared_ptr<transport::SecureMsgChannel> channel;
+  RunSession(std::move(endpoint), channel);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (channel != nullptr) std::erase(channels_, channel);
+  finished_.push_back(std::this_thread::get_id());
+}
+
+void InferenceService::RunSession(
+    transport::Endpoint endpoint,
+    std::shared_ptr<transport::SecureMsgChannel>& channel) {
   // RA-TLS handshake: the monitor presents its report (binding its
   // ephemeral key into report_data); clients connect unattested — it is
   // the *client* that must be convinced it talks to the genuine
@@ -89,7 +124,7 @@ void InferenceService::ServeSession(transport::Endpoint endpoint) {
     auth_failures_->Add(1);
     return;
   }
-  auto channel = std::make_shared<transport::SecureMsgChannel>(
+  channel = std::make_shared<transport::SecureMsgChannel>(
       std::move(*handshake));
   // A session that ends before delivering a single frame never
   // completed establishment from the client's point of view — the

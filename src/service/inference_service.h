@@ -55,6 +55,11 @@ class InferenceService {
   // frontends/Run() callers may still use it). Idempotent.
   void Stop();
 
+  // Session threads not yet joined: live sessions plus any that ended
+  // since the accept loop last reaped (it does on every accept and at
+  // least every 200 ms).
+  size_t session_threads() const;
+
   ~InferenceService();
 
  private:
@@ -62,7 +67,14 @@ class InferenceService {
                    ServiceOptions options);
 
   void AcceptLoop();
+  // Joins the session threads that have finished.
+  void ReapFinishedSessions();
+  // Runs one session, then drops its channel from channels_ and queues
+  // the thread for reaping.
   void ServeSession(transport::Endpoint endpoint);
+  // The session itself; sets `channel` once it is registered.
+  void RunSession(transport::Endpoint endpoint,
+                  std::shared_ptr<transport::SecureMsgChannel>& channel);
 
   core::Monitor& monitor_;
   transport::Listener& listener_;
@@ -72,9 +84,12 @@ class InferenceService {
   obs::Counter* handshake_failures_ = nullptr;  // service.handshake_failures
   obs::Histogram* reply_us_ = nullptr;          // service.reply_us
 
-  std::mutex mu_;
+  mutable std::mutex mu_;
   bool stopped_ = false;
   std::vector<std::thread> session_threads_;
+  // Session threads that have returned and wait for the accept loop to
+  // join them.
+  std::vector<std::thread::id> finished_;
   // Live session channels, closable from Stop() to unblock their
   // threads; each thread also holds its own reference.
   std::vector<std::shared_ptr<transport::SecureMsgChannel>> channels_;

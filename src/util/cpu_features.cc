@@ -19,6 +19,9 @@ CpuFeatures Detect() {
   f.pclmul = __builtin_cpu_supports("pclmul");
   f.ssse3 = __builtin_cpu_supports("ssse3");
   f.avx512f = __builtin_cpu_supports("avx512f");
+  f.avx512bw = __builtin_cpu_supports("avx512bw");
+  f.vaes = __builtin_cpu_supports("vaes");
+  f.vpclmulqdq = __builtin_cpu_supports("vpclmulqdq");
 #endif
   return f;
 }
@@ -72,6 +75,9 @@ std::string CpuFeatureString() {
   add(f.pclmul, "pclmul");
   add(f.ssse3, "ssse3");
   add(f.avx512f, "avx512f");
+  add(f.avx512bw, "avx512bw");
+  add(f.vaes, "vaes");
+  add(f.vpclmulqdq, "vpclmulqdq");
   if (out.empty()) out = "scalar";
   return out;
 }

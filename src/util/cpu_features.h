@@ -1,8 +1,8 @@
 // Runtime CPU feature detection and SIMD dispatch policy (DESIGN.md §10).
 //
-// The vectorized hot paths (AVX2/FMA GEMM, AES-NI + PCLMUL GCM) are
-// compiled into dedicated translation units with per-file ISA flags and
-// selected at runtime: a call site asks `UseAvx2Gemm()` /
+// The vectorized hot paths (AVX2/FMA GEMM, the AES-NI and VAES AES-GCM
+// tiers) are compiled into dedicated translation units with per-file ISA
+// flags and selected at runtime: a call site asks `UseAvx2Gemm()` /
 // `UseAesGcmAccel()` on every dispatch. A dispatch decision composes
 // three independent gates —
 //   1. the binary carries the vector TU (per-arch CMake; the TU
@@ -27,7 +27,10 @@ struct CpuFeatures {
   bool aes = false;      // AES-NI
   bool pclmul = false;   // carry-less multiply (GHASH)
   bool ssse3 = false;    // pshufb, needed by the GCM byte-swap path
-  bool avx512f = false;  // detected and reported, not yet dispatched on
+  bool avx512f = false;
+  bool avx512bw = false;    // byte-granular masks (GCM wide-tier tails)
+  bool vaes = false;        // AES rounds on 256/512-bit registers
+  bool vpclmulqdq = false;  // carry-less multiply on 256/512-bit registers
 };
 
 // CPUID-derived features of this host, detected once per process.
@@ -37,8 +40,11 @@ const CpuFeatures& HostCpuFeatures();
 // every accelerated path must fall back to its portable twin.
 bool SimdEnabled();
 
-// Dispatch predicates combining compiled-in TU + CPUID + SimdEnabled().
+// Dispatch predicates combining CPUID + SimdEnabled(); call sites AND
+// them with their TU's compiled-in probe.
 bool UseAvx2Gemm();
+// AES-NI + PCLMUL + SSSE3: the floor of every accelerated GCM tier;
+// crypto::SelectedGcmTier() picks the widest tier above it.
 bool UseAesGcmAccel();
 // Elementwise/activation kernels need AVX2 only (no FMA: their vector
 // tier is written mul-then-add so it stays bitwise identical to the

@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "crypto/aead.h"
 #include "crypto/aes.h"
+#include "crypto/gcm_tiers.h"
 #include "crypto/hmac.h"
 #include "crypto/rand.h"
 #include "crypto/sha256.h"
 #include "crypto/x25519.h"
 #include "util/bytes.h"
 #include "util/cpu_features.h"
+#include "util/rng.h"
 
 namespace mvtee::crypto {
 namespace {
@@ -328,12 +333,12 @@ TEST(GcmTest, InPlaceSealMatchesCopyingSeal) {
 
 // ------------------------------------------------- GCM SIMD dispatch
 //
-// AES-GCM must be a single cipher with two speeds: whatever mix of
-// AES-NI/PCLMUL and portable table code the dispatcher picks, the
-// ciphertext and tag are bitwise identical. These run in one process
-// and flip the path with ScopedForceScalar; CI additionally reruns the
-// whole suite under MVTEE_SIMD=0 so the portable path is exercised as
-// the default on its own leg.
+// AES-GCM must be a single cipher at every speed: whichever tier the
+// dispatcher picks, the ciphertext and tag are bitwise identical. These
+// run in one process and flip the default dispatch with
+// ScopedForceScalar; CI additionally reruns the whole suite under
+// MVTEE_SIMD=0 so the portable path is exercised as the default on its
+// own leg. The tier suites below pin each tier explicitly.
 
 TEST(GcmDispatchTest, NistKatsPassOnForcedScalarPath) {
   util::ScopedForceScalar force_scalar;
@@ -479,6 +484,281 @@ TEST(GcmTest, InPlaceOpenRejectsExactlyLikeOpen) {
     Bytes cut(sealed.begin(), sealed.begin() + static_cast<long>(keep));
     EXPECT_FALSE(gcm.Open(nonce, aad, cut).ok());
     EXPECT_FALSE(gcm.OpenInPlace(nonce, aad, cut.data(), cut.size()).ok());
+  }
+}
+
+// ------------------------------------------------- GCM implementation tiers
+//
+// Each case pins its tier with ScopedGcmTier, which overrides
+// MVTEE_SIMD, so every tier the host supports runs in every CI leg. The
+// portable tier is the reference the vector tiers must match byte for
+// byte.
+
+std::string MissingCpuBits(GcmTier tier) {
+  const util::CpuFeatures& f = util::HostCpuFeatures();
+  std::string missing;
+  auto need = [&](bool has, const char* bit) {
+    if (!has) missing += std::string(missing.empty() ? "" : " ") + bit;
+  };
+  need(f.aes, "aes");
+  need(f.pclmul, "pclmul");
+  need(f.ssse3, "ssse3");
+  if (tier == GcmTier::kVaes512) {
+    need(f.avx512f, "avx512f");
+    need(f.avx512bw, "avx512bw");
+    need(f.vaes, "vaes");
+    need(f.vpclmulqdq, "vpclmulqdq");
+  }
+  return missing.empty() ? "not compiled into this build"
+                         : "CPUID lacks " + missing;
+}
+
+class GcmTierTest : public ::testing::TestWithParam<GcmTier> {
+ protected:
+  void SetUp() override {
+    if (!GcmTierSupported(GetParam())) {
+      GTEST_SKIP() << GcmTierName(GetParam()) << ": "
+                   << MissingCpuBits(GetParam());
+    }
+  }
+};
+
+// The vector tiers, checked against the portable one.
+class GcmVectorTierTest : public GcmTierTest {};
+
+std::string TierParamName(const ::testing::TestParamInfo<GcmTier>& info) {
+  return GcmTierName(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTiers, GcmTierTest,
+                         ::testing::Values(GcmTier::kPortable,
+                                           GcmTier::kAesNi,
+                                           GcmTier::kVaes512),
+                         TierParamName);
+INSTANTIATE_TEST_SUITE_P(VectorTiers, GcmVectorTierTest,
+                         ::testing::Values(GcmTier::kAesNi, GcmTier::kVaes512),
+                         TierParamName);
+
+Bytes RandomBytes(util::Rng& rng, size_t n) {
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<uint8_t>(rng.NextU64());
+  return out;
+}
+
+TEST_P(GcmTierTest, NistKats) {
+  // GCM spec test cases 1-4 (AES-128) and 13-16 (AES-256): empty input,
+  // one zero block, 64 bytes with no AAD, and a partial last block with
+  // 20 bytes of AAD.
+  struct Kat {
+    const char* key;
+    const char* nonce;
+    const char* aad;
+    const char* pt;
+    const char* sealed;
+  };
+  const std::string k128 = "feffe9928665731c6d6a8f9467308308";
+  const std::string k256 = k128 + k128;
+  const char* iv = "cafebabefacedbaddecaf888";
+  const char* aad = "feedfacedeadbeeffeedfacedeadbeefabaddad2";
+  const std::string pt64 =
+      "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+      "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255";
+  const std::string pt60 = pt64.substr(0, 120);
+  const std::string zeros16(32, '0'), zeros32(64, '0'), zeros12(24, '0');
+  const Kat kats[] = {
+      {zeros16.c_str(), zeros12.c_str(), "", "",
+       "58e2fccefa7e3061367f1d57a4e7455a"},
+      {zeros16.c_str(), zeros12.c_str(), "", zeros16.c_str(),
+       "0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf"},
+      {k128.c_str(), iv, "", pt64.c_str(),
+       "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+       "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985"
+       "4d5c2af327cd64a62cf35abd2ba6fab4"},
+      {k128.c_str(), iv, aad, pt60.c_str(),
+       "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+       "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091"
+       "5bc94fbc3221a5db94fae95ae7121a47"},
+      {zeros32.c_str(), zeros12.c_str(), "", "",
+       "530f8afbc74536b9a963b4f1c4cb738b"},
+      {zeros32.c_str(), zeros12.c_str(), "", zeros16.c_str(),
+       "cea7403d4d606b6e074ec5d3baf39d18d0d1c8a799996bf0265b98b5d48ab919"},
+      {k256.c_str(), iv, "", pt64.c_str(),
+       "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+       "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662898015ad"
+       "b094dac5d93471bdec1a502270e3cc6c"},
+      {k256.c_str(), iv, aad, pt60.c_str(),
+       "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+       "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662"
+       "76fc6ece0f4e1768cddf8853bb2d551b"},
+  };
+  ScopedGcmTier pin(GetParam());
+  for (const Kat& kat : kats) {
+    SCOPED_TRACE(kat.sealed);
+    AesGcm gcm(FromHex(kat.key));
+    const Bytes nonce = FromHex(kat.nonce);
+    const Bytes aad_bytes = FromHex(kat.aad);
+    const Bytes pt = FromHex(kat.pt);
+    const Bytes sealed = gcm.Seal(nonce, aad_bytes, pt);
+    EXPECT_EQ(HexEncode(sealed), kat.sealed);
+
+    Bytes buf = pt;
+    buf.resize(pt.size() + kGcmTagSize);
+    gcm.SealInPlace(nonce, aad_bytes, buf.data(), pt.size());
+    EXPECT_EQ(HexEncode(buf), kat.sealed);
+
+    auto opened = gcm.Open(nonce, aad_bytes, FromHex(kat.sealed));
+    ASSERT_TRUE(opened.ok());
+    EXPECT_EQ(*opened, pt);
+  }
+}
+
+TEST_P(GcmVectorTierTest, SealOpenMatchPortableByteForByte) {
+  // Every length 0-300, each vector group boundary +-1 (16 B blocks,
+  // 64 B wide lanes, 128 B AES-NI groups, 256 B GHASH reductions, 512 B
+  // wide CTR steps), and 200 random lengths up to 64 KiB. AAD lengths
+  // cycle through values that are mostly not multiples of 16.
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (size_t g : {512u, 1024u, 4096u}) {
+    for (size_t n : {g - 1, g, g + 1}) lengths.push_back(n);
+  }
+  const size_t fixed = lengths.size();
+  util::Rng rng(0x6c3);
+  for (int i = 0; i < 200; ++i) {
+    lengths.push_back(rng.NextU64() % (64 * 1024 + 1));
+  }
+  const size_t aad_lens[] = {0, 1, 12, 13, 15, 17, 20, 31, 33, 64, 255, 257};
+  const AesGcm gcm128(RandomBytes(rng, 16));
+  const AesGcm gcm256(RandomBytes(rng, 32));
+
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    const size_t len = lengths[i];
+    const size_t aad_len = aad_lens[i % std::size(aad_lens)];
+    const Bytes pt = RandomBytes(rng, len);
+    const Bytes aad = RandomBytes(rng, aad_len);
+    const Bytes nonce = RandomBytes(rng, kGcmNonceSize);
+    // Both key sizes for the fixed lengths; alternate on random ones.
+    for (int key_bits : {128, 256}) {
+      if (i >= fixed && (key_bits == 128) != (i % 2 == 0)) continue;
+      SCOPED_TRACE("len=" + std::to_string(len) + " aad=" +
+                   std::to_string(aad_len) + " key=" +
+                   std::to_string(key_bits));
+      const AesGcm& gcm = key_bits == 128 ? gcm128 : gcm256;
+      Bytes ref;
+      {
+        ScopedGcmTier portable(GcmTier::kPortable);
+        ref = gcm.Seal(nonce, aad, pt);
+      }
+      ScopedGcmTier pin(GetParam());
+      ASSERT_TRUE(gcm.Seal(nonce, aad, pt) == ref);
+
+      Bytes buf = pt;
+      buf.resize(len + kGcmTagSize);
+      gcm.SealInPlace(nonce, aad, buf.data(), len);
+      ASSERT_TRUE(buf == ref);
+
+      auto opened = gcm.Open(nonce, aad, ref);
+      ASSERT_TRUE(opened.ok());
+      ASSERT_TRUE(*opened == pt);
+      auto n = gcm.OpenInPlace(nonce, aad, buf.data(), buf.size());
+      ASSERT_TRUE(n.ok());
+      ASSERT_EQ(*n, len);
+      ASSERT_TRUE(std::equal(pt.begin(), pt.end(), buf.begin()));
+    }
+  }
+}
+
+TEST_P(GcmTierTest, TamperingIsRejected) {
+  util::Rng rng(0x7a3);
+  const AesGcm gcm(RandomBytes(rng, 32));
+  const Bytes nonce = RandomBytes(rng, kGcmNonceSize);
+  const Bytes aad = RandomBytes(rng, 21);
+  const Bytes pt = RandomBytes(rng, 1000);
+  ScopedGcmTier pin(GetParam());
+  const Bytes sealed = gcm.Seal(nonce, aad, pt);
+
+  // A bit flip in the first, middle or last ciphertext byte, or in the
+  // tag, fails both open entry points; the in-place one leaves the
+  // buffer untouched.
+  for (size_t i : {size_t{0}, pt.size() / 2, pt.size() - 1, pt.size(),
+                   sealed.size() - 1}) {
+    Bytes corrupt = sealed;
+    corrupt[i] ^= 0x80;
+    const Bytes before = corrupt;
+    auto r = gcm.Open(nonce, aad, corrupt);
+    ASSERT_FALSE(r.ok()) << i;
+    EXPECT_EQ(r.status().code(), util::StatusCode::kAuthenticationFailure);
+    auto n = gcm.OpenInPlace(nonce, aad, corrupt.data(), corrupt.size());
+    ASSERT_FALSE(n.ok()) << i;
+    EXPECT_EQ(corrupt, before) << i;
+  }
+  Bytes bad_aad = aad;
+  bad_aad[20] ^= 1;
+  EXPECT_FALSE(gcm.Open(nonce, bad_aad, sealed).ok());
+  Bytes bad_nonce = nonce;
+  bad_nonce[11] ^= 1;
+  EXPECT_FALSE(gcm.Open(bad_nonce, aad, sealed).ok());
+  const Bytes cut(sealed.begin(), sealed.end() - 1);
+  EXPECT_FALSE(gcm.Open(nonce, aad, cut).ok());
+}
+
+// Round keys for a direct CtrXor call (the H powers are Tag's only).
+gcm::VectorKey CtrKeyOf(const Aes& aes) {
+  gcm::VectorKey key{};
+  key.rounds = aes.rounds();
+  const uint32_t* w = aes.round_key_words();
+  for (int r = 0; r <= key.rounds; ++r) {
+    for (int b = 0; b < 16; ++b) {
+      key.round_keys[r][b] =
+          static_cast<uint8_t>(w[4 * r + b / 4] >> (24 - 8 * (b % 4)));
+    }
+  }
+  return key;
+}
+
+TEST_P(GcmVectorTierTest, CounterWrapsInsideAGroupWithoutCarry) {
+  // AesGcm always starts the counter at 1; calling the tier's CtrXor
+  // directly lets the low 32 bits start near 2^32, so inc32 wraps to 0
+  // inside a vector group. The nonce bytes must never see the carry.
+  util::Rng rng(0x3f1);
+  const Aes aes(RandomBytes(rng, 32));
+  const gcm::VectorKey key = CtrKeyOf(aes);
+  auto ctr_xor = GetParam() == GcmTier::kVaes512 ? &gcm::vaes512::CtrXor
+                                                 : &gcm::aesni::CtrXor;
+  for (uint32_t start : {0xfffffff0u, 0xfffffffdu, 0xffffffffu}) {
+    uint8_t j0[16];
+    const Bytes nonce = RandomBytes(rng, 12);
+    std::copy(nonce.begin(), nonce.end(), j0);
+    for (int i = 0; i < 4; ++i) {
+      j0[12 + i] = static_cast<uint8_t>(start >> (24 - 8 * i));
+    }
+    for (size_t len : {size_t{1}, size_t{64}, size_t{640}, size_t{1000},
+                       size_t{2053}}) {
+      const Bytes in = RandomBytes(rng, len);
+      Bytes expected(len);
+      uint8_t counter[16];
+      std::copy(j0, j0 + 16, counter);
+      uint32_t low = start;
+      for (size_t off = 0; off < len; off += 16) {
+        ++low;  // wraps mod 2^32
+        for (int i = 0; i < 4; ++i) {
+          counter[12 + i] = static_cast<uint8_t>(low >> (24 - 8 * i));
+        }
+        uint8_t ks[16];
+        aes.EncryptBlock(counter, ks);
+        for (size_t k = 0; k < 16 && off + k < len; ++k) {
+          expected[off + k] = in[off + k] ^ ks[k];
+        }
+      }
+      Bytes out(len);
+      ctr_xor(key, j0, in.data(), out.data(), len);
+      EXPECT_EQ(HexEncode(out), HexEncode(expected))
+          << "start=" << start << " len=" << len;
+      // In place gives the same bytes.
+      Bytes inplace = in;
+      ctr_xor(key, j0, inplace.data(), inplace.data(), len);
+      EXPECT_EQ(inplace, expected) << "start=" << start << " len=" << len;
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 // wrapper over the long-lived request loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -22,6 +23,7 @@
 #include "core/monitor.h"
 #include "core/offline.h"
 #include "core/variant_host.h"
+#include "crypto/gcm_tiers.h"
 #include "graph/builder.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -108,11 +110,14 @@ class ServiceTest : public ::testing::Test {
     auto monitor = Monitor::Create(&cpu_, MonitorConfig{});
     ASSERT_TRUE(monitor.ok());
     monitor_ = std::move(*monitor);
-    auto status =
-        monitor_->Initialize(bundle_, MvxSelection::Uniform(bundle_, 2),
-                             *host_);
+    auto status = monitor_->Initialize(
+        bundle_, MvxSelection::Uniform(bundle_, variants_per_stage()),
+        *host_);
     ASSERT_TRUE(status.ok()) << status.ToString();
   }
+
+  // Every stage is a 2-variant MVX panel unless a fixture says otherwise.
+  virtual int variants_per_stage() const { return 2; }
 
   void TearDown() override {
     if (monitor_) ASSERT_TRUE(monitor_->Shutdown().ok());
@@ -124,6 +129,76 @@ class ServiceTest : public ::testing::Test {
   std::unique_ptr<VariantHost> host_;
   std::unique_ptr<Monitor> monitor_;
 };
+
+// ------------------------------------------------ pipelines without panels
+
+// One variant per stage: no stage is an MVX panel, so nothing is
+// cross-validated.
+class UnpanelledServiceTest : public ServiceTest {
+ protected:
+  int variants_per_stage() const override { return 1; }
+};
+
+TEST_F(UnpanelledServiceTest, ServedRequestsStartNoVerifyWorkers) {
+  obs::Counter& started =
+      monitor_->metrics().GetCounter("monitor.verify_workers_started");
+  const Tensor input = TestInput();
+  auto reference = monitor_->Run({{input}});
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const uint64_t base = started.value();
+
+  // Each request drains the queue, so each is its own serving stream.
+  auto session = monitor_->OpenSession();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  for (int i = 0; i < 20; ++i) {
+    auto future = (*session)->Submit({{input}});
+    ASSERT_TRUE(future.ok()) << future.status().ToString();
+    InferenceResponse response = future->get();
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    ASSERT_EQ(response.outputs.size(), (*reference)[0].size());
+    EXPECT_LT(MaxAbsDiff(response.outputs[0], (*reference)[0][0]), 1e-6f);
+  }
+  EXPECT_EQ(started.value(), base);
+}
+
+TEST_F(ServiceTest, PanelledPipelineStartsVerifyWorkers) {
+  obs::Counter& started =
+      monitor_->metrics().GetCounter("monitor.verify_workers_started");
+  const uint64_t base = started.value();
+  ASSERT_TRUE(monitor_->StartService().ok());
+  auto session = monitor_->OpenSession();
+  ASSERT_TRUE(session.ok());
+  auto future = (*session)->Submit({{TestInput()}});
+  ASSERT_TRUE(future.ok());
+  ASSERT_TRUE(future->get().status.ok());
+  EXPECT_GE(started.value(),
+            base + static_cast<uint64_t>(MonitorConfig{}.verify_threads));
+}
+
+TEST_F(UnpanelledServiceTest, ServedRequestsLeaveNoLatencyBacklog) {
+  // Only Run() groups feed ConsumeStats().batch_latency_us; a serving
+  // stream records to the histogram alone, so 1000 served requests
+  // leave nothing behind that only ConsumeStats() would free.
+  ASSERT_TRUE(monitor_->StartService().ok());
+  (void)monitor_->ConsumeStats();
+  const obs::RegistrySnapshot base = monitor_->metrics().Snapshot();
+  auto session = monitor_->OpenSession();
+  ASSERT_TRUE(session.ok());
+  const Tensor input = TestInput();
+  for (int i = 0; i < 1000; ++i) {
+    auto future = (*session)->Submit({{input}});
+    ASSERT_TRUE(future.ok()) << future.status().ToString();
+    ASSERT_TRUE(future->get().status.ok());
+  }
+  const obs::RegistrySnapshot delta =
+      monitor_->metrics().Snapshot().DeltaSince(base);
+  EXPECT_GE(delta.histograms.at("monitor.batch_latency_us").count, 1000u);
+  EXPECT_TRUE(monitor_->ConsumeStats().batch_latency_us.empty());
+
+  // A one-shot Run() group still reports its latencies.
+  ASSERT_TRUE(monitor_->Run({{input}, {input}}).ok());
+  EXPECT_EQ(monitor_->ConsumeStats().batch_latency_us.size(), 2u);
+}
 
 // ------------------------------------------------ in-process sessions
 
@@ -579,6 +654,60 @@ TEST_F(ServiceTest, EightConcurrentSessionsInterleave) {
   EXPECT_EQ(reg.GetGauge("service.sessions_active").value(), 0);
 }
 
+TEST_F(ServiceTest, FinishedWireSessionsAreReaped) {
+  // A client reconnecting after every request must not leave one
+  // finished session thread (and its channel) behind per connection
+  // until Stop(): the accept loop joins finished sessions.
+  transport::Listener listener;
+  auto service = InferenceService::Start(*monitor_, listener);
+  ASSERT_TRUE(service.ok());
+  const Tensor input = TestInput();
+  size_t most = 0;
+  for (int i = 0; i < 200; ++i) {
+    auto client = InferenceClient::Connect(listener, cpu_,
+                                           monitor_->enclave().measurement());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    auto outputs = (*client)->Infer({input});
+    ASSERT_TRUE(outputs.ok()) << outputs.status().ToString();
+    most = std::max(most, (*service)->session_threads());
+    (*client)->Disconnect();
+  }
+  EXPECT_LE(most, 8u);
+  EXPECT_LE((*service)->session_threads(), 8u);
+  (*service)->Stop();
+  EXPECT_EQ((*service)->session_threads(), 0u);
+}
+
+TEST_F(ServiceTest, StopReturnsWithSessionsMidRequest) {
+  transport::Listener listener;
+  auto service = InferenceService::Start(*monitor_, listener);
+  ASSERT_TRUE(service.ok());
+  obs::Counter& requests =
+      monitor_->metrics().GetCounter("service.requests_total");
+  const uint64_t base = requests.value();
+
+  // Four clients submit back to back until their channel closes.
+  constexpr int kClients = 4;
+  std::atomic<int> served{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      auto client = InferenceClient::Connect(
+          listener, cpu_, monitor_->enclave().measurement());
+      if (!client.ok()) return;
+      while ((*client)->Infer({TestInput(static_cast<uint64_t>(c + 1))})
+                 .ok()) {
+        served.fetch_add(1);
+      }
+    });
+  }
+  ASSERT_TRUE(WaitForCounter(requests, base + 2 * kClients));
+  (*service)->Stop();
+  for (auto& t : clients) t.join();
+  EXPECT_GE(served.load(), 1);
+  EXPECT_EQ((*service)->session_threads(), 0u);
+}
+
 TEST_F(ServiceTest, ClientRejectsExpiredDeadlineWithoutSpendingSequence) {
   transport::Listener listener;
   auto service = InferenceService::Start(*monitor_, listener);
@@ -896,6 +1025,9 @@ TEST_F(ServiceTest, AdminEndpointsServeLiveState) {
   const obs::JsonValue* build = sjson->Find("build");
   ASSERT_NE(build, nullptr);
   EXPECT_TRUE(build->Find("cpu_features")->is_string());
+  // The GCM tier the front end's records run on is named, not implied.
+  EXPECT_EQ(build->Find("simd_dispatch")->Find("aes_gcm_tier")->as_string(),
+            crypto::GcmTierName(crypto::SelectedGcmTier()));
   const obs::JsonValue* timelines = sjson->Find("timelines");
   ASSERT_NE(timelines, nullptr);
   EXPECT_EQ(timelines->Find("total_noted")->as_number(), 3.0);

@@ -414,6 +414,9 @@ TEST(CpuFeaturesTest, FeatureStringIsStableAndNonEmpty) {
   const CpuFeatures& f = HostCpuFeatures();
   EXPECT_EQ(f.avx2, s.find("avx2") != std::string::npos);
   EXPECT_EQ(f.pclmul, s.find("pclmul") != std::string::npos);
+  EXPECT_EQ(f.avx512bw, s.find("avx512bw") != std::string::npos);
+  EXPECT_EQ(f.vaes, s.find("vaes") != std::string::npos);
+  EXPECT_EQ(f.vpclmulqdq, s.find("vpclmulqdq") != std::string::npos);
 }
 
 TEST(ThreadPoolTest, ResolveThreadCountRejectsMalformedValues) {
@@ -507,9 +510,10 @@ TEST(KnobRegistryTest, PackCacheKnobRegisteredAndStrict) {
 }
 
 TEST(CpuFeaturesTest, Avx512DetectedButUnusedIsSurfaced) {
-  // AVX-512 has no kernel tier yet (ROADMAP): detection must show up
-  // in the provenance string so /status can report it as unused, but
-  // no dispatch predicate may key on it.
+  // AVX-512 runs the wide AES-GCM tier but no GEMM or elementwise
+  // kernel yet (ROADMAP): detection must show up in the provenance
+  // string so /status can report the GEMM headroom, and the AVX2
+  // predicates must not key on it.
   const CpuFeatures& f = HostCpuFeatures();
   EXPECT_EQ(f.avx512f, CpuFeatureString().find("avx512f") != std::string::npos);
   if (!f.avx2 && f.avx512f) {
