@@ -17,6 +17,10 @@
 //      seal+open MB/s of every GCM tier the host supports at 1, 4, 12
 //      and 64 KiB records (acceptance floor: the VAES tier >= 1.5x the
 //      AES-NI tier at 12 and 64 KiB where both run).
+//   5. Empty poll: ns per zero-timeout RecvPooled on the attested pair
+//      with nothing queued, and the voluntary context switches those
+//      polls cost (acceptance floor: <= 10 per 1000 polls; a poll that
+//      parks the thread costs one each).
 //
 // Results go to stdout and to a machine-readable JSON summary at
 // $MVTEE_BENCH_JSON (default ./BENCH_data_plane.json) so CI can archive
@@ -24,6 +28,8 @@
 // could not fail (host too small / no SIMD) is recorded as
 // floor_applies=false + floor_waived=true next to the detected CPU
 // features, so baseline comparisons can tell "passed" from "waived".
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -356,6 +362,44 @@ RoundTripResult RunRoundTrip(ChannelPair& pair, int iters) {
   return out;
 }
 
+// ------------------------------------------------------- empty poll
+
+// Above this many voluntary context switches per 1000 empty polls, a
+// zero-timeout receive is parking the thread instead of polling.
+constexpr double kMaxPollSwitchesPer1000 = 10.0;
+
+struct PollResult {
+  int polls = 0;  // per timed rep
+  double ns_per_poll = 0.0;
+  double switches_per_1000 = 0.0;
+};
+
+long VoluntarySwitches() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_nvcsw;
+}
+
+// The monitor's event loop makes one such poll per variant channel per
+// sweep before it blocks in its wait set (DESIGN.md §7).
+PollResult RunEmptyPolls(ChannelPair& pair, int polls) {
+  PollResult out;
+  out.polls = polls;
+  constexpr int kReps = 3;
+  const long switches0 = VoluntarySwitches();
+  const double secs = TimeMedian(kReps, [&] {
+    for (int i = 0; i < polls; ++i) {
+      MVTEE_CHECK(pair.monitor_ch->RecvPooled(0).status().code() ==
+                  util::StatusCode::kDeadlineExceeded);
+    }
+  });
+  out.ns_per_poll = secs * 1e9 / polls;
+  out.switches_per_1000 =
+      1000.0 * static_cast<double>(VoluntarySwitches() - switches0) /
+      (kReps * polls);
+  return out;
+}
+
 // ------------------------------------------------------------- GEMM
 
 struct GemmResult {
@@ -418,7 +462,8 @@ GemmResult RunGemm(int64_t m, int64_t n, int64_t k, size_t threads) {
 void WriteJson(const std::vector<AeadResult>& aead,
                const AeadDispatchResult& aead_disp,
                const std::vector<AeadTierResult>& tiers,
-               const RoundTripResult& rt, const GemmResult& gemm) {
+               const RoundTripResult& rt, const PollResult& poll,
+               const GemmResult& gemm) {
   const char* path = std::getenv("MVTEE_BENCH_JSON");
   if (path == nullptr) path = "BENCH_data_plane.json";
   std::FILE* f = std::fopen(path, "w");
@@ -486,6 +531,15 @@ void WriteJson(const std::vector<AeadResult>& aead,
       static_cast<unsigned long long>(rt.legacy_copied),
       static_cast<unsigned long long>(rt.pooled_copied), rt.copy_ratio(),
       rt.legacy_mbps, rt.pooled_mbps);
+  std::fprintf(f,
+               "  \"empty_poll\": {\n"
+               "    \"polls\": %d,\n    \"ns_per_poll\": %.1f,\n"
+               "    \"voluntary_switches_per_1000\": %.2f,\n"
+               "    \"floor_max_switches_per_1000\": %.0f,\n"
+               "    \"floor_applies\": true,\n"
+               "    \"floor_waived\": false\n  },\n",
+               poll.polls, poll.ns_per_poll, poll.switches_per_1000,
+               kMaxPollSwitchesPer1000);
   const bool parallel_floor_applies = gemm.hw_threads >= 4;
   const bool avx2_floor_applies = gemm.avx2_dispatched;
   std::fprintf(
@@ -596,6 +650,14 @@ int Main() {
   obs::SyncDataPlaneMetrics();
   DumpMetricsJson("data_plane/round_trip", &base);
 
+  // 2b. Empty zero-timeout polls on the same attested pair.
+  const PollResult poll = RunEmptyPolls(pair, /*polls=*/10'000);
+  const bool poll_ok = poll.switches_per_1000 <= kMaxPollSwitchesPer1000;
+  std::printf("\nempty RecvPooled(0): %.1f ns/poll, %.2f voluntary "
+              "switches per 1000 polls (floor: <= %.0f)%s\n",
+              poll.ns_per_poll, poll.switches_per_1000,
+              kMaxPollSwitchesPer1000, poll_ok ? "" : "  ** FAILS FLOOR **");
+
   // 3. Blocked GEMM, serial vs 4-thread shared pool.
   const GemmResult gemm = RunGemm(512, 512, 512, /*threads=*/4);
   // The 2x floor only applies where the host can actually run the
@@ -622,8 +684,8 @@ int Main() {
                                                 : "  ** BELOW FLOOR **")
                   : "  (floor waived: no AVX2 dispatch)");
 
-  WriteJson(aead, aead_disp, tiers, rt, gemm);
-  const bool ok = rt.copy_ratio() >= 2.0 &&
+  WriteJson(aead, aead_disp, tiers, rt, poll, gemm);
+  const bool ok = rt.copy_ratio() >= 2.0 && poll_ok &&
                   (!wide_measured || wide_x >= kWideTierFloor) &&
                   (!gemm_floor_applies || gemm.speedup() >= 2.0) &&
                   (!gemm.avx2_dispatched || gemm.avx2_speedup() >= 5.0) &&

@@ -47,8 +47,8 @@ int Main() {
       auto b = RunMvtee(*bundle, enc, batches, pipelined);
       // Metrics dump for the fully protected run: the delta isolates its
       // per-stage checkpoint-verify (monitor.stageN.verify_us), crypto
-      // (monitor.stageN.crypto_us, channel.seal_us/open_us) and wire
-      // (monitor.stageN.wire_us) breakdowns.
+      // (modeled model.stageN.crypto_us; measured channel.seal_us/open_us)
+      // and modeled wire (model.stageN.wire_us) breakdowns.
       const auto metrics_base = MetricsBaseline();
       auto c = RunMvtee(*bundle, ckpt, batches, pipelined);
       if (c.ok()) {

@@ -334,13 +334,13 @@ void Monitor::BindMetrics() {
   m_.verify_workers_started =
       &metrics_->GetCounter("monitor.verify_workers_started");
   for (size_t s = 0; s < stages_.size(); ++s) {
-    const std::string prefix = "monitor.stage" + std::to_string(s) + ".";
+    const std::string stage = "stage" + std::to_string(s) + ".";
     StageMetrics& sm = stages_[s].metrics;
-    sm.verify_us = &metrics_->GetHistogram(prefix + "verify_us");
-    sm.forward_us = &metrics_->GetHistogram(prefix + "forward_us");
-    sm.wire_us = &metrics_->GetCounter(prefix + "wire_us");
-    sm.crypto_us = &metrics_->GetCounter(prefix + "crypto_us");
-    sm.bytes = &metrics_->GetCounter(prefix + "bytes");
+    sm.verify_us = &metrics_->GetHistogram("monitor." + stage + "verify_us");
+    sm.forward_us = &metrics_->GetHistogram("monitor." + stage + "forward_us");
+    sm.wire_us = &metrics_->GetCounter("model." + stage + "wire_us");
+    sm.crypto_us = &metrics_->GetCounter("model." + stage + "crypto_us");
+    sm.bytes = &metrics_->GetCounter("monitor." + stage + "bytes");
   }
 }
 
@@ -1131,7 +1131,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
            (util::ThreadCpuMicros() - handling_cpu0 - send_cpu_excluded);
   };
   // Models the stage-boundary crossing cost of one frame and charges it
-  // to the destination stage's wire/crypto/bytes instruments.
+  // to the destination stage's model.* wire/crypto and bytes instruments.
   auto charge_boundary = [&](size_t dest, size_t bytes) {
     const auto wire =
         static_cast<int64_t>(transport::WireMicros(network_, bytes));

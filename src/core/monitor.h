@@ -65,10 +65,6 @@ struct MonitorConfig {
   // routing (direct_fastpath = false).
   bool verify_fast_path = false;
   int64_t recv_timeout_us = 30'000'000;
-  // Legacy busy-poll slice. Unused since the event loop became evented
-  // (it blocks on a transport::WaitSet instead of sleeping); kept so
-  // existing configs still compile.
-  int64_t poll_slice_us = 50;
   // Worker threads for MVX cross-validation (Vote / pairwise
   // consistency). 0 runs verification inline on the ingestion thread
   // (deterministic; the pre-evented behavior).
@@ -409,6 +405,7 @@ class Monitor {
   struct StageMetrics {
     obs::Histogram* verify_us = nullptr;   // checkpoint-verify time
     obs::Histogram* forward_us = nullptr;  // monitor-mediated forward time
+    // model.stage{S}.*: analytic charges, not clock readings.
     obs::Counter* wire_us = nullptr;       // modeled wire time, outbound
     obs::Counter* crypto_us = nullptr;     // modeled seal+open time, outbound
     obs::Counter* bytes = nullptr;         // outbound payload bytes

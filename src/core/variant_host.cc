@@ -67,6 +67,9 @@ struct VariantState {
   };
   std::vector<Upstream> upstream;
   std::vector<Downstream> downstream;
+  // Notified by each frame to the monitor channel or an upstream pipe.
+  std::shared_ptr<transport::WaitSet> wake =
+      std::make_shared<transport::WaitSet>();
 
   // Slot assembly per batch.
   struct Assembly {
@@ -192,6 +195,7 @@ util::Status SetupRoutes(const SetupRoutesMsg& msg, tee::Enclave& enclave,
   }
   for (auto& setup : setups) {
     MVTEE_RETURN_IF_ERROR(setup.status);
+    setup.channel->AttachWaiter(state.wake);
     state.upstream.push_back({std::move(setup.channel)});
   }
 
@@ -354,6 +358,7 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
   }
 
   VariantState state;
+  monitor_channel->AttachWaiter(state.wake);
   auto teardown = [&] {
     monitor_channel->Close();
     for (auto& up : state.upstream) up.channel->Close();
@@ -361,10 +366,14 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
     cpu->ReleaseEnclave(*enclave);
   };
 
-  const int64_t idle_sleep_us = 50;
+  // A frame ends the idle wait at once. The bound keeps idle vCPUs
+  // ticking under host load (DESIGN.md §7).
+  const int64_t idle_wait_us = 50;
   int64_t last_activity = util::NowMicros();
 
   for (;;) {
+    // Taken before polling, so a frame that lands mid-poll ends the wait.
+    const uint64_t epoch = state.wake->Epoch();
     bool progressed = false;
 
     // 1. Monitor channel (non-blocking poll).
@@ -473,7 +482,7 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
         teardown();  // orphaned: monitor gone silent
         return;
       }
-      std::this_thread::sleep_for(std::chrono::microseconds(idle_sleep_us));
+      state.wake->WaitFor(epoch, idle_wait_us);
     }
   }
 }

@@ -215,8 +215,8 @@ util::Result<Tensor> Executor::ExecuteNode(
         for (int64_t i = 0; i < x.num_elements(); ++i) {
           guard = guard + x.data()[i] * 0.0f;
         }
-        static volatile float g_guard_sink [[maybe_unused]];
-  g_guard_sink = guard;
+        static thread_local volatile float g_guard_sink [[maybe_unused]];
+        g_guard_sink = guard;
       }
       pack_cache_.TouchConv(node.weights[0]);
       return Conv2d(in(0), *weight(0), bias, params, config_.conv_algo,

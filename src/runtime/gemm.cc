@@ -414,7 +414,7 @@ void GemmChecked(GemmBackend backend, const float* a, size_t a_size,
   float guard = 0.0f;
   for (size_t i = 0; i < static_cast<size_t>(mk); ++i) guard = guard + a[i] * 0.0f;
   for (size_t i = 0; i < static_cast<size_t>(kn); ++i) guard = guard + b[i] * 0.0f;
-  static volatile float g_guard_sink [[maybe_unused]];
+  static thread_local volatile float g_guard_sink [[maybe_unused]];
   g_guard_sink = guard;
   Gemm(backend, a, b, c, m, n, k);
 }

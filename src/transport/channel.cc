@@ -43,11 +43,18 @@ void MessageQueue::Push(util::PooledBuffer frame) {
   if (waiter) waiter->Notify();
 }
 
-std::optional<util::PooledBuffer> MessageQueue::Pop(int64_t timeout_us) {
+util::Result<util::PooledBuffer> MessageQueue::Pop(int64_t timeout_us) {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
-               [&] { return !frames_.empty() || closed_; });
-  if (frames_.empty()) return std::nullopt;
+  // A zero timeout is a poll. Even an already-expired timed wait parks
+  // the thread in the kernel for the timer slack (~50 us by default).
+  if (timeout_us > 0) {
+    cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
+                 [&] { return !frames_.empty() || closed_; });
+  }
+  if (frames_.empty()) {
+    if (closed_) return util::Unavailable("peer closed the channel");
+    return util::DeadlineExceeded("recv timeout");
+  }
   util::PooledBuffer frame = std::move(frames_.front());
   frames_.pop_front();
   return frame;
@@ -62,11 +69,6 @@ void MessageQueue::Close() {
   }
   cv_.notify_all();
   if (waiter) waiter->Notify();
-}
-
-bool MessageQueue::closed_and_empty() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_ && frames_.empty();
 }
 
 bool MessageQueue::readable() {
@@ -132,14 +134,7 @@ util::Result<util::Bytes> Endpoint::Recv(int64_t timeout_us) {
 
 util::Result<util::PooledBuffer> Endpoint::RecvPooled(int64_t timeout_us) {
   if (!valid()) return util::FailedPrecondition("endpoint not connected");
-  auto frame = rx_->Pop(timeout_us);
-  if (!frame.has_value()) {
-    if (rx_->closed_and_empty()) {
-      return util::Unavailable("peer closed the channel");
-    }
-    return util::DeadlineExceeded("recv timeout");
-  }
-  return std::move(*frame);
+  return rx_->Pop(timeout_us);
 }
 
 void Endpoint::Close() {
@@ -175,8 +170,10 @@ Endpoint Listener::Connect() {
 
 util::Result<Endpoint> Listener::Accept(int64_t timeout_us) {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
-               [&] { return !pending_.empty() || closed_; });
+  if (timeout_us > 0) {  // a zero timeout polls, as in MessageQueue::Pop
+    cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
+                 [&] { return !pending_.empty() || closed_; });
+  }
   if (!pending_.empty()) {
     Endpoint ep = std::move(pending_.front());
     pending_.pop_front();

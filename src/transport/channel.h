@@ -94,11 +94,10 @@ class MessageQueue {
   // Queues carry refcounted pooled buffers, so a frame moves from
   // sender to receiver without its bytes being copied.
   void Push(util::PooledBuffer frame);
-  // Blocks up to timeout; nullopt on timeout, error state on close+empty
-  // is signalled via closed() by the caller.
-  std::optional<util::PooledBuffer> Pop(int64_t timeout_us);
+  // Blocks up to timeout; kDeadlineExceeded on timeout, kUnavailable
+  // once closed and drained. A timeout <= 0 polls without waiting.
+  util::Result<util::PooledBuffer> Pop(int64_t timeout_us);
   void Close();
-  bool closed_and_empty();
   // True if a Pop(0) would yield a frame or an error (closed + drained).
   bool readable();
   // Registers a WaitSet notified on every Push and on Close.
@@ -132,7 +131,8 @@ class Endpoint {
   util::Status SendPooled(util::PooledBuffer frame);
 
   // Receives one frame; kDeadlineExceeded on timeout, kUnavailable if
-  // the peer closed and the queue drained.
+  // the peer closed and the queue drained. A timeout <= 0 is a poll: it
+  // never parks the calling thread.
   util::Result<util::Bytes> Recv(int64_t timeout_us = 5'000'000);
 
   // Zero-copy receive: hands back the sender's buffer.
@@ -194,7 +194,8 @@ class Listener {
   Endpoint Connect();
 
   // Blocks for the next queued connection; kDeadlineExceeded on
-  // timeout, kUnavailable once Close()d and drained.
+  // timeout, kUnavailable once Close()d and drained. A timeout <= 0
+  // polls without waiting.
   util::Result<Endpoint> Accept(int64_t timeout_us = 5'000'000);
 
   void Close();

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <memory>
 #include <thread>
@@ -16,6 +17,31 @@ namespace {
 using util::Bytes;
 using util::StatusCode;
 using util::ToBytes;
+
+// Voluntary context switches the calling thread has made so far.
+long VoluntarySwitches() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_nvcsw;
+}
+
+// A zero-timeout receive is a poll and must never park the thread. A
+// parked poll costs one voluntary context switch however fast the host
+// is, so counting switches over a batch tests the contract without
+// timing anything. `poll` polls an empty source and returns the code.
+template <typename Poll>
+void ExpectEmptyPollsNeverSleep(Poll poll) {
+  constexpr int kPolls = 1000;
+  constexpr long kMaxSwitches = 10;
+  bool all_empty = true;
+  const long before = VoluntarySwitches();
+  for (int i = 0; i < kPolls; ++i) {
+    all_empty &= poll() == StatusCode::kDeadlineExceeded;
+  }
+  const long switches = VoluntarySwitches() - before;
+  EXPECT_TRUE(all_empty);
+  EXPECT_LE(switches, kMaxSwitches);
+}
 
 // ---------------------------------------------------------------- channel
 
@@ -37,6 +63,7 @@ TEST(ChannelTest, RecvTimesOut) {
   auto got = b.Recv(10'000);
   EXPECT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(b.Recv(0).status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(ChannelTest, CloseUnblocksReceiver) {
@@ -54,11 +81,36 @@ TEST(ChannelTest, CloseUnblocksReceiver) {
 TEST(ChannelTest, QueuedFramesSurviveClose) {
   auto [a, b] = CreateChannel();
   ASSERT_TRUE(a.Send(ToBytes("last words")).ok());
+  ASSERT_TRUE(a.Send(ToBytes("postscript")).ok());
   a.Close();
   auto got = b.Recv(100'000);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, ToBytes("last words"));
-  EXPECT_FALSE(b.Recv(10'000).ok());
+  auto polled = b.Recv(0);
+  ASSERT_TRUE(polled.ok());
+  EXPECT_EQ(*polled, ToBytes("postscript"));
+  EXPECT_EQ(b.Recv(0).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(b.Recv(10'000).status().code(), StatusCode::kUnavailable);
+}
+
+TEST(ChannelTest, ZeroTimeoutPollNeverSleeps) {
+  auto [a, b] = CreateChannel();
+  (void)a;
+  ExpectEmptyPollsNeverSleep([&] { return b.RecvPooled(0).status().code(); });
+}
+
+TEST(ListenerTest, ZeroTimeoutAcceptPolls) {
+  Listener listener;
+  ExpectEmptyPollsNeverSleep(
+      [&] { return listener.Accept(0).status().code(); });
+
+  Endpoint client = listener.Connect();
+  auto server = listener.Accept(0);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(client.Send(ToBytes("hi")).ok());
+  EXPECT_TRUE(server->Recv(0).ok());
+  listener.Close();
+  EXPECT_EQ(listener.Accept(0).status().code(), StatusCode::kUnavailable);
 }
 
 TEST(ChannelTest, InterceptorCanDropAndTamper) {
@@ -471,6 +523,29 @@ TEST(PlainMsgChannelTest, HeaderRoundTrip) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, ToBytes("plain"));
   EXPECT_TRUE(header.empty());
+}
+
+TEST(PlainMsgChannelTest, ZeroTimeoutPollNeverSleeps) {
+  auto [a, b] = CreateChannel();
+  PlainMsgChannel sender(std::move(a));
+  PlainMsgChannel receiver(std::move(b));
+  ExpectEmptyPollsNeverSleep(
+      [&] { return receiver.RecvPooled(0).status().code(); });
+  ASSERT_TRUE(sender.Send(ToBytes("frame")).ok());
+  EXPECT_TRUE(receiver.RecvPooled(0).ok());
+}
+
+TEST_F(SecureChannelTest, ZeroTimeoutPollNeverSleeps) {
+  auto [client, server] = Connect(AnyAttestedPeer(cpu_),
+                                  AnyAttestedPeer(cpu_));
+  ASSERT_NE(client, nullptr);
+  SecureMsgChannel receiver(std::move(server));
+  ExpectEmptyPollsNeverSleep(
+      [&] { return receiver.RecvPooled(0).status().code(); });
+  ASSERT_TRUE(client->Send(ToBytes("frame")).ok());
+  auto got = receiver.Recv(0);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, ToBytes("frame"));
 }
 
 TEST_F(SecureChannelTest, HeaderRoundTrip) {
