@@ -8,10 +8,13 @@
 //      Encode+Send+Recv+Decode vs single-pass SendFrame -> RecvPooled ->
 //      view decode, diffing util::DataPlaneBytesCopied() to prove the
 //      per-tensor copy reduction (acceptance floor: >= 2x fewer bytes).
-//   3. GEMM: the blocked backend serial vs sharded across a 4-worker
-//      util::ThreadPool (acceptance floor: >= 2x speedup at 256x256+),
-//      plus the kAvx2 backend serial vs blocked serial (acceptance
-//      floor: >= 5x on hosts where the vector kernel dispatches).
+//   3. GEMM at 512^3: the blocked backend serial vs sharded across a
+//      4-worker util::ThreadPool (acceptance floor: >= 2x speedup); the
+//      blocked backend's AVX2 tier vs its scalar loop nest under
+//      util::ScopedForceScalar (acceptance floor: >= 3x where the tier
+//      dispatches); and the kAvx2 backend serial vs that same scalar
+//      loop nest (acceptance floor: >= 5x where its vector kernel
+//      dispatches).
 //   4. SIMD dispatch: AES-GCM accel vs forced-scalar on the same
 //      payload (acceptance floor: >= 10x where AES-NI dispatches), and
 //      seal+open MB/s of every GCM tier the host supports at 1, 4, 12
@@ -402,19 +405,31 @@ PollResult RunEmptyPolls(ChannelPair& pair, int polls) {
 
 // ------------------------------------------------------------- GEMM
 
+// Below this the blocked backend's AVX2 tier fails its floor against the
+// scalar loop nest it replaces.
+constexpr double kBlockedTierFloor = 3.0;
+
 struct GemmResult {
   int64_t m = 0, n = 0, k = 0;
   size_t threads = 0;
   unsigned hw_threads = 0;  // what the host can actually run in parallel
-  bool avx2_dispatched = false;  // did kAvx2 take the vector path?
-  double serial_gflops = 0.0;
-  double parallel_gflops = 0.0;
+  bool avx2_dispatched = false;     // did kAvx2 take the vector path?
+  bool blocked_dispatched = false;  // did kBlocked take its AVX2 tier?
+  double serial_gflops = 0.0;       // kBlocked, dispatched
+  double parallel_gflops = 0.0;     // kBlocked, dispatched, sharded
+  double scalar_serial_gflops = 0.0;  // kBlocked under ScopedForceScalar
   double avx2_serial_gflops = 0.0;
   double speedup() const {
     return serial_gflops > 0 ? parallel_gflops / serial_gflops : 0.0;
   }
+  double blocked_tier_speedup() const {
+    return scalar_serial_gflops > 0 ? serial_gflops / scalar_serial_gflops
+                                    : 0.0;
+  }
   double avx2_speedup() const {
-    return serial_gflops > 0 ? avx2_serial_gflops / serial_gflops : 0.0;
+    return scalar_serial_gflops > 0
+               ? avx2_serial_gflops / scalar_serial_gflops
+               : 0.0;
   }
 };
 
@@ -451,9 +466,16 @@ GemmResult RunGemm(int64_t m, int64_t n, int64_t k, size_t threads) {
   parallel();     // warm pool
   avx2_serial();  // warm packed-panel path
   out.avx2_dispatched = runtime::GemmAvx2Accelerated();
+  out.blocked_dispatched = runtime::GemmBlockedAccelerated();
   out.serial_gflops = flops / TimeMedian(5, serial) / 1e9;
   out.parallel_gflops = flops / TimeMedian(5, parallel) / 1e9;
   out.avx2_serial_gflops = flops / TimeMedian(5, avx2_serial) / 1e9;
+  {
+    // The scalar loop nest: the blocked tier's reference, and the
+    // baseline the kAvx2 floor has always been measured against.
+    util::ScopedForceScalar force_scalar;
+    out.scalar_serial_gflops = flops / TimeMedian(5, serial) / 1e9;
+  }
   return out;
 }
 
@@ -541,6 +563,7 @@ void WriteJson(const std::vector<AeadResult>& aead,
                poll.polls, poll.ns_per_poll, poll.switches_per_1000,
                kMaxPollSwitchesPer1000);
   const bool parallel_floor_applies = gemm.hw_threads >= 4;
+  const bool blocked_floor_applies = gemm.blocked_dispatched;
   const bool avx2_floor_applies = gemm.avx2_dispatched;
   std::fprintf(
       f,
@@ -550,6 +573,11 @@ void WriteJson(const std::vector<AeadResult>& aead,
       "    \"parallel_gflops\": %.2f,\n    \"speedup_x\": %.2f,\n"
       "    \"parallel_floor_applies\": %s,\n"
       "    \"parallel_floor_waived\": %s,\n"
+      "    \"blocked_dispatched\": %s,\n"
+      "    \"scalar_serial_gflops\": %.2f,\n"
+      "    \"blocked_tier_speedup_x\": %.2f,\n"
+      "    \"blocked_tier_floor_applies\": %s,\n"
+      "    \"blocked_tier_floor_waived\": %s,\n"
       "    \"avx2_dispatched\": %s,\n"
       "    \"avx2_serial_gflops\": %.2f,\n"
       "    \"avx2_speedup_x\": %.2f,\n"
@@ -560,6 +588,9 @@ void WriteJson(const std::vector<AeadResult>& aead,
       gemm.serial_gflops, gemm.parallel_gflops, gemm.speedup(),
       parallel_floor_applies ? "true" : "false",
       parallel_floor_applies ? "false" : "true",
+      gemm.blocked_dispatched ? "true" : "false", gemm.scalar_serial_gflops,
+      gemm.blocked_tier_speedup(), blocked_floor_applies ? "true" : "false",
+      blocked_floor_applies ? "false" : "true",
       gemm.avx2_dispatched ? "true" : "false", gemm.avx2_serial_gflops,
       gemm.avx2_speedup(), avx2_floor_applies ? "true" : "false",
       avx2_floor_applies ? "false" : "true");
@@ -676,7 +707,16 @@ int Main() {
                   ? ""
                   : gemm_floor_applies ? "  ** BELOW FLOOR **"
                                        : "  (floor waived: host too small)");
-  std::printf("avx2 serial: %6.2f GFLOP/s | vs blocked serial %.2fx "
+  std::printf("blocked forced scalar: %6.2f GFLOP/s | AVX2 tier %.2fx "
+              "(floor: %.0fx)%s\n",
+              gemm.scalar_serial_gflops, gemm.blocked_tier_speedup(),
+              kBlockedTierFloor,
+              gemm.blocked_dispatched
+                  ? (gemm.blocked_tier_speedup() >= kBlockedTierFloor
+                         ? ""
+                         : "  ** BELOW FLOOR **")
+                  : "  (floor waived: no AVX2 dispatch)");
+  std::printf("avx2 serial: %6.2f GFLOP/s | vs blocked forced scalar %.2fx "
               "(floor: 5x)%s\n",
               gemm.avx2_serial_gflops, gemm.avx2_speedup(),
               gemm.avx2_dispatched
@@ -688,6 +728,8 @@ int Main() {
   const bool ok = rt.copy_ratio() >= 2.0 && poll_ok &&
                   (!wide_measured || wide_x >= kWideTierFloor) &&
                   (!gemm_floor_applies || gemm.speedup() >= 2.0) &&
+                  (!gemm.blocked_dispatched ||
+                   gemm.blocked_tier_speedup() >= kBlockedTierFloor) &&
                   (!gemm.avx2_dispatched || gemm.avx2_speedup() >= 5.0) &&
                   (!aead_disp.accelerated || aead_disp.speedup() >= 10.0);
   return ok ? 0 : 1;

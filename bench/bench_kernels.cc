@@ -10,6 +10,12 @@
 //      (identity-cols fast path) layer, with a steady-state gate that
 //      the pooled im2col/pack scratch takes zero fresh allocations
 //      (BufferPool miss delta == 0 once warm).
+//   2b. Depthwise lowering: MobileNetV3-shaped depthwise layers (3x3
+//      s1, 3x3 s2, 5x5 s1 at the serving benchmark's scale) on naive,
+//      blocked and transposed, the direct depthwise loops vs the same
+//      conv as one groups=1 im2col conv per channel (the lowering they
+//      replaced), outputs checked bitwise equal in-process.
+//      Acceptance floor: >= 1.5x over the three layers on blocked.
 //   3. Elementwise dispatch: relu / relu6 / hardswish / add / softmax
 //      through the AVX2 tier vs util::ScopedForceScalar on L2-resident
 //      arrays, asserting the outputs stay bitwise identical.
@@ -162,6 +168,85 @@ ConvResult RunConv(const char* label, int64_t C, int64_t H, int64_t OC,
   return out;
 }
 
+// ------------------------------------------------------- depthwise
+
+struct DepthwiseResult {
+  const char* label = "";
+  runtime::GemmBackend backend = runtime::GemmBackend::kBlocked;
+  double lowered_us = 0.0;      // Conv2d with groups == channels
+  double per_channel_us = 0.0;  // one groups=1 im2col conv per channel
+  bool bitwise_equal = false;
+  double speedup() const {
+    return lowered_us > 0 ? per_channel_us / lowered_us : 0.0;
+  }
+};
+
+DepthwiseResult RunDepthwise(const char* label, int64_t C, int64_t H,
+                             int64_t K, int64_t stride,
+                             runtime::GemmBackend gemm) {
+  util::Rng rng(static_cast<uint64_t>(C * 17 + H * 5 + K));
+  const Tensor input = Tensor::RandomUniform(Shape({1, C, H, H}), rng);
+  const Tensor weight = Tensor::RandomUniform(Shape({C, 1, K, K}), rng);
+  const Tensor bias = Tensor::RandomUniform(Shape({C}), rng);
+  const runtime::ConvParams params{stride, K / 2, /*groups=*/C};
+  const runtime::ConvParams single{stride, K / 2, /*groups=*/1};
+  // Per-channel operands are sliced once, outside the timed loop.
+  std::vector<Tensor> xs, ws, bs;
+  for (int64_t c = 0; c < C; ++c) {
+    xs.emplace_back(Shape({1, 1, H, H}),
+                    std::vector<float>(input.data() + c * H * H,
+                                       input.data() + (c + 1) * H * H));
+    ws.emplace_back(Shape({1, 1, K, K}),
+                    std::vector<float>(weight.data() + c * K * K,
+                                       weight.data() + (c + 1) * K * K));
+    bs.emplace_back(Shape({1}), std::vector<float>{bias.data()[c]});
+  }
+
+  DepthwiseResult out;
+  out.label = label;
+  out.backend = gemm;
+  auto lowered = [&] {
+    return runtime::Conv2d(input, weight, &bias, params,
+                           runtime::ConvAlgo::kIm2col, gemm);
+  };
+  auto per_channel = [&](std::vector<Tensor>* ys) {
+    for (int64_t c = 0; c < C; ++c) {
+      Tensor y = runtime::Conv2d(xs[static_cast<size_t>(c)],
+                                 ws[static_cast<size_t>(c)],
+                                 &bs[static_cast<size_t>(c)], single,
+                                 runtime::ConvAlgo::kIm2col, gemm);
+      if (ys != nullptr) ys->push_back(std::move(y));
+    }
+  };
+  {
+    const Tensor y = lowered();
+    std::vector<Tensor> ys;
+    per_channel(&ys);
+    const size_t plane = static_cast<size_t>(ys[0].num_elements());
+    out.bitwise_equal = true;
+    for (int64_t c = 0; c < C; ++c) {
+      out.bitwise_equal =
+          out.bitwise_equal &&
+          std::memcmp(y.data() + static_cast<size_t>(c) * plane,
+                      ys[static_cast<size_t>(c)].data(),
+                      plane * sizeof(float)) == 0;
+    }
+  }
+  const int iters = 64;
+  out.lowered_us = TimeMedian(7, [&] {
+                     for (int i = 0; i < iters; ++i) lowered();
+                   }) /
+                   iters * 1e6;
+  out.per_channel_us = TimeMedian(7, [&] {
+                         for (int i = 0; i < iters; ++i) per_channel(nullptr);
+                       }) /
+                       iters * 1e6;
+  return out;
+}
+
+// Below this the direct depthwise loop fails its floor on blocked.
+constexpr double kDepthwiseFloor = 1.5;
+
 // ------------------------------------------------------ elementwise
 
 struct ElementwiseResult {
@@ -224,6 +309,7 @@ const char* BackendName(runtime::GemmBackend b) {
 
 void WriteJson(const std::vector<PrepackResult>& packs,
                const std::vector<ConvResult>& convs,
+               const std::vector<DepthwiseResult>& dws, double dw_blocked_x,
                const std::vector<ElementwiseResult>& elws,
                uint64_t steady_pool_misses) {
   const char* path = std::getenv("MVTEE_BENCH_JSON");
@@ -264,8 +350,26 @@ void WriteJson(const std::vector<PrepackResult>& packs,
   }
   std::fprintf(f,
                "  ],\n  \"steady_state_pool_misses\": %llu,\n"
-               "  \"elementwise\": [\n",
+               "  \"depthwise\": [\n",
                static_cast<unsigned long long>(steady_pool_misses));
+  for (size_t i = 0; i < dws.size(); ++i) {
+    const DepthwiseResult& r = dws[i];
+    std::fprintf(f,
+                 "    {\"layer\": \"%s\", \"backend\": \"%s\", "
+                 "\"lowered_us\": %.2f, \"per_channel_us\": %.2f, "
+                 "\"speedup_x\": %.2f, \"bitwise_equal\": %s}%s\n",
+                 r.label, BackendName(r.backend), r.lowered_us,
+                 r.per_channel_us, r.speedup(),
+                 r.bitwise_equal ? "true" : "false",
+                 i + 1 < dws.size() ? "," : "");
+  }
+  std::fprintf(f,
+               "  ],\n  \"depthwise_blocked_speedup_x\": %.2f,\n"
+               "  \"depthwise_floor\": %.1f,\n"
+               "  \"depthwise_floor_applies\": true,\n"
+               "  \"depthwise_floor_waived\": false,\n"
+               "  \"elementwise\": [\n",
+               dw_blocked_x, kDepthwiseFloor);
   for (size_t i = 0; i < elws.size(); ++i) {
     const ElementwiseResult& r = elws[i];
     const bool floor_applies =
@@ -289,8 +393,8 @@ void WriteJson(const std::vector<PrepackResult>& packs,
 int Main() {
   PrintFigureHeader("Kernel layer",
                     "Prepacked constant-weight GEMM, pooled im2col "
-                    "scratch, and AVX2 elementwise dispatch vs the paths "
-                    "they replaced");
+                    "scratch, the depthwise lowering, and AVX2 elementwise "
+                    "dispatch vs the paths they replaced");
 
   // 1. Prepacked vs per-call-repacked FullyConnected, serving shape
   //    (m=1 single-request inference; the pack cost the cache removes
@@ -347,6 +451,40 @@ int Main() {
   obs::SyncDataPlaneMetrics();
   DumpMetricsJson("kernels/conv_steady_state", &base);
 
+  // 2b. Depthwise lowering vs the per-channel im2col composition it
+  //     replaced, at the serving benchmark's MobileNetV3 scale.
+  std::printf("\nDepthwise Conv2d: direct loop vs per-channel im2col\n");
+  PrintRule();
+  std::printf("%-18s %-10s | %10s %14s | %6s | %s\n", "layer", "backend",
+              "direct us", "per-channel us", "x", "bitwise");
+  std::vector<DepthwiseResult> dws;
+  double dw_blocked_lowered = 0.0, dw_blocked_per_channel = 0.0;
+  bool dw_bits_ok = true;
+  for (auto backend :
+       {runtime::GemmBackend::kNaive, runtime::GemmBackend::kBlocked,
+        runtime::GemmBackend::kTransposed}) {
+    dws.push_back(RunDepthwise("3x3 s1 18ch @8", 18, 8, 3, 1, backend));
+    dws.push_back(RunDepthwise("3x3 s2 16ch @16", 16, 16, 3, 2, backend));
+    dws.push_back(RunDepthwise("5x5 s1 30ch @4", 30, 4, 5, 1, backend));
+    for (size_t i = dws.size() - 3; i < dws.size(); ++i) {
+      const DepthwiseResult& r = dws[i];
+      dw_bits_ok = dw_bits_ok && r.bitwise_equal;
+      if (backend == runtime::GemmBackend::kBlocked) {
+        dw_blocked_lowered += r.lowered_us;
+        dw_blocked_per_channel += r.per_channel_us;
+      }
+      std::printf("%-18s %-10s | %10.2f %14.2f | %5.2fx | %s\n", r.label,
+                  BackendName(r.backend), r.lowered_us, r.per_channel_us,
+                  r.speedup(), r.bitwise_equal ? "equal" : "** DIFFERS **");
+    }
+  }
+  const double dw_blocked_x = dw_blocked_lowered > 0
+                                  ? dw_blocked_per_channel / dw_blocked_lowered
+                                  : 0.0;
+  std::printf("blocked, three layers: %.2fx (floor: %.1fx)%s\n",
+              dw_blocked_x, kDepthwiseFloor,
+              dw_blocked_x >= kDepthwiseFloor ? "" : "  ** BELOW FLOOR **");
+
   // 3. Elementwise AVX2 tier vs forced-scalar, L2-resident arrays.
   const size_t n = 64 << 10;  // 256 KiB per array
   util::Rng rng(5);
@@ -400,12 +538,13 @@ int Main() {
                                        : "  ** BELOW FLOOR **");
   }
 
-  WriteJson(packs, convs, elws, steady_pool_misses);
+  WriteJson(packs, convs, dws, dw_blocked_x, elws, steady_pool_misses);
   bool pack_ok = true;
   for (const PrepackResult& r : packs) {
     if (r.floor_applies && r.speedup() < 1.3) pack_ok = false;
   }
-  const bool ok = pack_ok && steady_pool_misses == 0 && elw_ok;
+  const bool ok = pack_ok && steady_pool_misses == 0 && elw_ok &&
+                  dw_bits_ok && dw_blocked_x >= kDepthwiseFloor;
   return ok ? 0 : 1;
 }
 

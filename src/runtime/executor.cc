@@ -1,7 +1,9 @@
 #include "runtime/executor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <thread>
 
 #include "util/clock.h"
@@ -384,13 +386,20 @@ util::Result<std::vector<Tensor>> Executor::Run(
     }
   }
 
+  // env dies with this call, so outputs move out of it; only a node
+  // listed again later in outputs() is copied, to keep its value for
+  // the later listing.
+  const std::vector<NodeId>& out_ids = graph_.outputs();
   std::vector<Tensor> outputs;
-  outputs.reserve(graph_.outputs().size());
-  for (NodeId out : graph_.outputs()) {
-    if (!env[static_cast<size_t>(out)].has_value()) {
-      return util::Internal("output not computed");
+  outputs.reserve(out_ids.size());
+  for (auto it = out_ids.begin(); it != out_ids.end(); ++it) {
+    std::optional<Tensor>& slot = env[static_cast<size_t>(*it)];
+    if (!slot.has_value()) return util::Internal("output not computed");
+    if (std::find(it + 1, out_ids.end(), *it) != out_ids.end()) {
+      outputs.push_back(*slot);
+    } else {
+      outputs.push_back(std::move(*slot));
     }
-    outputs.push_back(*env[static_cast<size_t>(out)]);
   }
 
   if (config_.slowdown_factor > 1.0) {

@@ -7,6 +7,7 @@
 
 #include "obs/metrics.h"
 #include "runtime/gemm_avx2.h"
+#include "runtime/kernels_avx2.h"
 #include "runtime/scratch.h"
 #include "util/cpu_features.h"
 #include "util/dataplane_stats.h"
@@ -28,6 +29,8 @@ bool GemmAvx2Accelerated() {
   return internal::Avx2KernelCompiled() && util::UseAvx2Gemm();
 }
 
+bool GemmBlockedAccelerated() { return internal::UseAvx2ElementwiseTier(); }
+
 namespace {
 
 void GemmNaive(const float* a, const float* b, float* c, int64_t m, int64_t n,
@@ -45,12 +48,44 @@ void GemmNaive(const float* a, const float* b, float* c, int64_t m, int64_t n,
 
 constexpr int64_t kTile = 64;
 
+// prod + acc with the product as the first source operand, which x86
+// returns when both are NaN. Plain C++ leaves the order to the register
+// allocator: optimized builds put the product first, but UBSan's checks
+// flip it. Pinning it keeps this loop nest bitwise identical to the
+// blocked AVX2 tier, which pins the same order, in every build. The
+// pinned add also hides the column loop from the auto-vectorizer, so
+// the loop nest steps four columns at a time itself (SSE2 is baseline
+// on x86-64); per element that is the same mul and add.
+#if defined(__SSE2__)
+using Float4 = float __attribute__((vector_size(16)));
+constexpr int64_t kFloat4Lanes = 4;
+
+inline Float4 AddProductFirst(Float4 prod, Float4 acc) {
+  asm("addps %1, %0" : "+x"(prod) : "x"(acc));
+  return prod;
+}
+
+inline float AddProductFirst(float prod, float acc) {
+  asm("addss %1, %0" : "+x"(prod) : "x"(acc));
+  return prod;
+}
+#else
+inline float AddProductFirst(float prod, float acc) { return prod + acc; }
+#endif
+
 // Computes output rows [row0, row1) with the blocked backend's loop
 // order. Rows are independent (each reads shared A/B rows, writes a
 // disjoint C range) and a row's accumulation order does not depend on
 // which shard runs it — the basis for bitwise-deterministic sharding.
+// Each C element is ((+0 + a0*b0) + a1*b1) + ... in k order; the AVX2
+// tier keeps it in registers instead of reloading C per k step, and
+// this loop nest stays as its fallback and its reference.
 void GemmBlockedRows(const float* a, const float* b, float* c, int64_t row0,
                      int64_t row1, int64_t n, int64_t k) {
+  if (GemmBlockedAccelerated()) {
+    internal::GemmBlockedAvx2Rows(a, b, c, row0, row1, n, k);
+    return;
+  }
   std::memset(c + row0 * n, 0,
               static_cast<size_t>((row1 - row0) * n) * sizeof(float));
   for (int64_t i0 = row0; i0 < row1; i0 += kTile) {
@@ -64,8 +99,18 @@ void GemmBlockedRows(const float* a, const float* b, float* c, int64_t row0,
             const float a_ip = a[i * k + p];
             const float* b_row = b + p * n;
             float* c_row = c + i * n;
-            for (int64_t j = j0; j < j_end; ++j) {
-              c_row[j] += a_ip * b_row[j];
+            int64_t j = j0;
+#if defined(__SSE2__)
+            for (; j + kFloat4Lanes <= j_end; j += kFloat4Lanes) {
+              Float4 b4, c4;
+              std::memcpy(&b4, b_row + j, sizeof(b4));
+              std::memcpy(&c4, c_row + j, sizeof(c4));
+              c4 = AddProductFirst(a_ip * b4, c4);
+              std::memcpy(c_row + j, &c4, sizeof(c4));
+            }
+#endif
+            for (; j < j_end; ++j) {
+              c_row[j] = AddProductFirst(a_ip * b_row[j], c_row[j]);
             }
           }
         }

@@ -105,4 +105,11 @@ void GemmChecked(GemmBackend backend, const float* a, size_t a_size,
 // false, kAvx2 still works through the scalar fmaf fallback.
 bool GemmAvx2Accelerated();
 
+// True when the kBlocked backend will run its AVX2 register-tiled tier.
+// The tier lives in the elementwise AVX2 TU and dispatches on exactly
+// its gate (compiled in, CPUID says AVX2, MVTEE_SIMD not 0). No FMA
+// needed: the tier keeps the scalar loop nest's mul-then-add order, so
+// both paths give the same bits.
+bool GemmBlockedAccelerated();
+
 }  // namespace mvtee::runtime

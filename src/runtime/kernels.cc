@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -22,14 +23,15 @@ std::string_view ConvAlgoName(ConvAlgo algo) {
   return "unknown";
 }
 
-namespace {
+namespace internal {
 
-// Dispatch gate for the elementwise AVX2 tier: the binary must carry
-// the vector TU and the host/policy must allow SIMD. Evaluated per
-// call (SimdEnabled is dynamic under ScopedForceScalar).
-bool UseVectorElementwise() {
-  return internal::Avx2ElementwiseCompiled() && util::UseAvx2Elementwise();
+bool UseAvx2ElementwiseTier() {
+  return Avx2ElementwiseCompiled() && util::UseAvx2Elementwise();
 }
+
+}  // namespace internal
+
+namespace {
 
 // Window geometry is validated before any output dim is computed: a
 // non-positive stride, negative padding or non-positive kernel would
@@ -160,6 +162,162 @@ void ConvIm2col(const Tensor& input, const Tensor& weight, const float* bias,
   }
 }
 
+// Depthwise convs (one input and one output channel per group) skip
+// im2col: per channel, the column matrix is K x (OH*OW) and the GEMM
+// has m = 1, so the lowering costs more than the taps. The direct loop
+// below reads the same values (a zero-padded copy of the plane, so
+// padded taps multiply +0.0f exactly like the column matrix's zeros)
+// and accumulates each output's K taps in the backend's own GEMM order,
+// which keeps every variant's bits. kBlocked and kTransposed share
+// ConvDepthwise, so for depthwise convs the ORT- and TVM-like presets
+// are one failure domain (DESIGN.md section 14). kNaive, the hardened
+// preset's backend, runs ConvDepthwiseNaive, which shares no code with
+// it, as kNaive shares no GEMM code with kBlocked. kAvx2 keeps im2col:
+// its fmaf chain in this baseline TU is a libm call per tap.
+bool UseDepthwiseLowering(const Tensor& weight, const ConvParams& p,
+                          GemmBackend gemm) {
+  return p.groups > 1 && weight.shape().dim(1) == 1 &&
+         weight.shape().dim(0) == p.groups && gemm != GemmBackend::kAvx2;
+}
+
+// The hardened preset's depthwise loop: one channel at a time over a
+// zero-padded plane, each output's taps as GemmNaive's chain
+// (acc = +0, then acc += w[t] * x[t] in tap order).
+void ConvDepthwiseNaive(const Tensor& input, const Tensor& weight,
+                        const float* bias, const ConvParams& p, Tensor& out) {
+  const int64_t N = input.shape().dim(0), C = input.shape().dim(1),
+                H = input.shape().dim(2), W = input.shape().dim(3);
+  const int64_t KH = weight.shape().dim(2), KW = weight.shape().dim(3);
+  const int64_t OH = out.shape().dim(2), OW = out.shape().dim(3);
+  const int64_t PH = H + 2 * p.padding, PW = W + 2 * p.padding;
+  util::PooledBuffer scratch =
+      AcquireFloatScratch(static_cast<size_t>(PH * PW));
+  float* padded = FloatScratch(scratch);
+  std::fill(padded, padded + PH * PW, 0.0f);
+  for (int64_t n = 0; n < N; ++n) {
+    for (int64_t c = 0; c < C; ++c) {
+      const float* in_plane = input.data() + (n * C + c) * H * W;
+      for (int64_t h = 0; h < H; ++h) {
+        std::memcpy(padded + (h + p.padding) * PW + p.padding,
+                    in_plane + h * W, static_cast<size_t>(W) * sizeof(float));
+      }
+      const float* w = weight.data() + c * KH * KW;
+      float* out_plane = out.data() + (n * C + c) * OH * OW;
+      for (int64_t oh = 0; oh < OH; ++oh) {
+        for (int64_t ow = 0; ow < OW; ++ow) {
+          const float* x = padded + oh * p.stride * PW + ow * p.stride;
+          float acc = 0.0f;
+          for (int64_t kh = 0; kh < KH; ++kh) {
+            for (int64_t kw = 0; kw < KW; ++kw) {
+              acc += w[kh * KW + kw] * x[kh * PW + kw];
+            }
+          }
+          out_plane[oh * OW + ow] = acc;
+        }
+      }
+      if (bias) elementwise::AddScalar(out_plane, bias[c], out_plane, OH * OW);
+    }
+  }
+}
+
+// Four channels side by side, one per lane. Lane arithmetic is plain
+// IEEE mul and add on each element, so a lane computes exactly what the
+// scalar loop would for its channel; the vector width only removes the
+// per-channel loop overhead that dominates the small maps of MobileNet-
+// style models.
+using ChannelLanes = float __attribute__((vector_size(16)));
+constexpr int64_t kChannelLanes = 4;
+
+// acc[ow] += w * src[ow * stride] for one output row and one tap: the
+// mul-then-add step of every GEMM order, four channels at a time.
+inline void AccumulateTap(ChannelLanes* __restrict acc, ChannelLanes w,
+                          const ChannelLanes* __restrict src,
+                          int64_t ow_count, int64_t stride) {
+  for (int64_t ow = 0; ow < ow_count; ++ow) acc[ow] += w * src[ow * stride];
+}
+
+void ConvDepthwise(const Tensor& input, const Tensor& weight,
+                   const float* bias, const ConvParams& p, GemmBackend gemm,
+                   Tensor& out) {
+  const int64_t N = input.shape().dim(0), C = input.shape().dim(1),
+                H = input.shape().dim(2), W = input.shape().dim(3);
+  const int64_t KH = weight.shape().dim(2), KW = weight.shape().dim(3);
+  const int64_t OH = out.shape().dim(2), OW = out.shape().dim(3);
+  const int64_t PH = H + 2 * p.padding, PW = W + 2 * p.padding;
+  const int64_t taps = KH * KW;
+  // GemmTransposedFromBt's order: four partial sums over p mod 4, then
+  // (s0+s1)+(s2+s3), then the remaining taps in order. GemmBlockedRows
+  // runs the plain sequential chain.
+  const bool four_way = gemm == GemmBackend::kTransposed;
+  const int64_t split = four_way ? taps - taps % 4 : 0;
+
+  // One pooled chunk: the lane-interleaved padded planes, output planes,
+  // weights and partial-sum rows, then each tap's offset into a plane.
+  const int64_t lane_vectors = PH * PW + OH * OW + taps + 4 * OW;
+  util::PooledBuffer scratch = util::BufferPool::Default().Acquire(
+      static_cast<size_t>(lane_vectors) * sizeof(ChannelLanes) +
+      static_cast<size_t>(taps) * sizeof(int64_t));
+  MVTEE_CHECK(reinterpret_cast<uintptr_t>(scratch.data()) %
+                  alignof(ChannelLanes) ==
+              0);
+  ChannelLanes* padded = reinterpret_cast<ChannelLanes*>(scratch.data());
+  ChannelLanes* acc_plane = padded + PH * PW;
+  ChannelLanes* w = acc_plane + OH * OW;
+  ChannelLanes* partial = w + taps;
+  int64_t* tap_offset = reinterpret_cast<int64_t*>(padded + lane_vectors);
+  for (int64_t kh = 0; kh < KH; ++kh) {
+    for (int64_t kw = 0; kw < KW; ++kw) tap_offset[kh * KW + kw] = kh * PW + kw;
+  }
+  // The border stays zero; only the interior is rewritten per block.
+  // In a last, partial block the spare lanes get zero weights, compute
+  // on the previous block's inputs, and are dropped.
+  std::fill(padded, padded + PH * PW, ChannelLanes{});
+
+  for (int64_t n = 0; n < N; ++n) {
+    for (int64_t c0 = 0; c0 < C; c0 += kChannelLanes) {
+      const int64_t lanes = std::min(kChannelLanes, C - c0);
+      if (lanes < kChannelLanes) std::fill(w, w + taps, ChannelLanes{});
+      for (int64_t l = 0; l < lanes; ++l) {
+        const float* in_plane = input.data() + (n * C + c0 + l) * H * W;
+        for (int64_t h = 0; h < H; ++h) {
+          ChannelLanes* row = padded + (h + p.padding) * PW + p.padding;
+          for (int64_t x = 0; x < W; ++x) row[x][l] = in_plane[h * W + x];
+        }
+        for (int64_t t = 0; t < taps; ++t) {
+          w[t][l] = weight.data()[(c0 + l) * taps + t];
+        }
+      }
+      for (int64_t oh = 0; oh < OH; ++oh) {
+        const ChannelLanes* rows = padded + oh * p.stride * PW;
+        ChannelLanes* acc = acc_plane + oh * OW;
+        if (four_way) {
+          std::fill(partial, partial + 4 * OW, ChannelLanes{});
+          for (int64_t t = 0; t < split; ++t) {
+            AccumulateTap(partial + (t % 4) * OW, w[t], rows + tap_offset[t],
+                          OW, p.stride);
+          }
+          for (int64_t ow = 0; ow < OW; ++ow) {
+            acc[ow] = (partial[ow] + partial[OW + ow]) +
+                      (partial[2 * OW + ow] + partial[3 * OW + ow]);
+          }
+        } else {
+          std::fill(acc, acc + OW, ChannelLanes{});
+        }
+        for (int64_t t = split; t < taps; ++t) {
+          AccumulateTap(acc, w[t], rows + tap_offset[t], OW, p.stride);
+        }
+      }
+      for (int64_t l = 0; l < lanes; ++l) {
+        float* out_plane = out.data() + (n * C + c0 + l) * OH * OW;
+        for (int64_t i = 0; i < OH * OW; ++i) out_plane[i] = acc_plane[i][l];
+        if (bias) {
+          elementwise::AddScalar(out_plane, bias[c0 + l], out_plane, OH * OW);
+        }
+      }
+    }
+  }
+}
+
 template <typename F>
 Tensor ElementwiseUnary(const Tensor& x, F f) {
   Tensor out(x.shape());
@@ -188,6 +346,12 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
   const float* b = bias ? bias->data() : nullptr;
   if (algo == ConvAlgo::kDirect) {
     ConvDirect(input, weight, b, params, out);
+  } else if (UseDepthwiseLowering(weight, params, gemm)) {
+    if (gemm == GemmBackend::kNaive) {
+      ConvDepthwiseNaive(input, weight, b, params, out);
+    } else {
+      ConvDepthwise(input, weight, b, params, gemm, out);
+    }
   } else {
     ConvIm2col(input, weight, b, params, gemm, out);
   }
@@ -456,7 +620,7 @@ namespace elementwise {
 // so the memcmp parity tests hold for arbitrary inputs.
 
 void Relu(const float* in, float* out, int64_t n) {
-  if (UseVectorElementwise()) {
+  if (internal::UseAvx2ElementwiseTier()) {
     internal::ReluAvx2(in, out, n);
     return;
   }
@@ -464,7 +628,7 @@ void Relu(const float* in, float* out, int64_t n) {
 }
 
 void Relu6(const float* in, float* out, int64_t n) {
-  if (UseVectorElementwise()) {
+  if (internal::UseAvx2ElementwiseTier()) {
     internal::Relu6Avx2(in, out, n);
     return;
   }
@@ -474,7 +638,7 @@ void Relu6(const float* in, float* out, int64_t n) {
 }
 
 void HardSwish(const float* in, float* out, int64_t n) {
-  if (UseVectorElementwise()) {
+  if (internal::UseAvx2ElementwiseTier()) {
     internal::HardSwishAvx2(in, out, n);
     return;
   }
@@ -484,7 +648,7 @@ void HardSwish(const float* in, float* out, int64_t n) {
 }
 
 void Add(const float* a, const float* b, float* out, int64_t n) {
-  if (UseVectorElementwise()) {
+  if (internal::UseAvx2ElementwiseTier()) {
     internal::AddAvx2(a, b, out, n);
     return;
   }
@@ -492,7 +656,7 @@ void Add(const float* a, const float* b, float* out, int64_t n) {
 }
 
 void AddScalar(const float* in, float s, float* out, int64_t n) {
-  if (UseVectorElementwise()) {
+  if (internal::UseAvx2ElementwiseTier()) {
     internal::AddScalarAvx2(in, s, out, n);
     return;
   }
@@ -500,7 +664,7 @@ void AddScalar(const float* in, float s, float* out, int64_t n) {
 }
 
 void Scale(const float* in, float alpha, float beta, float* out, int64_t n) {
-  if (UseVectorElementwise()) {
+  if (internal::UseAvx2ElementwiseTier()) {
     internal::ScaleAvx2(in, alpha, beta, out, n);
     return;
   }
@@ -509,14 +673,14 @@ void Scale(const float* in, float alpha, float beta, float* out, int64_t n) {
 
 float MaxReduce(const float* x, int64_t n) {
   MVTEE_CHECK(n >= 1);
-  if (UseVectorElementwise()) return internal::MaxReduceAvx2(x, n);
+  if (internal::UseAvx2ElementwiseTier()) return internal::MaxReduceAvx2(x, n);
   float m = x[0];
   for (int64_t i = 1; i < n; ++i) m = std::max(m, x[i]);
   return m;
 }
 
 void MulScalar(float* data, float s, int64_t n) {
-  if (UseVectorElementwise()) {
+  if (internal::UseAvx2ElementwiseTier()) {
     internal::MulScalarAvx2(data, s, n);
     return;
   }

@@ -20,6 +20,77 @@ inline __m256 ReluV(__m256 v) {
   return _mm256_and_ps(v, _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ));
 }
 
+// acc = prod + acc with the product pinned as the first source operand.
+// When both are NaN, x86 returns the first source's payload, and the
+// scalar loop nest lets the product's NaN win; GCC is free to commute
+// the operands of _mm256_add_ps (and does), so the order is fixed here.
+inline void AddProductFirst(__m256 prod, __m256& acc) {
+  asm("vaddps %[acc], %[prod], %[acc]" : [acc] "+x"(acc) : [prod] "x"(prod));
+}
+
+// R rows x 8*V columns of C accumulated over all of k in registers.
+// kMasked (V == 1 only): the column tail, loading and storing just the
+// lanes set in `mask`; the other lanes compute on zeros and are dropped.
+template <int R, int V, bool kMasked>
+inline void BlockedTile(const float* a, const float* b, float* c, int64_t i0,
+                        int64_t j0, int64_t n, int64_t k, __m256i mask) {
+  static_assert(!kMasked || V == 1);
+  // -O2 does not fully unroll these constant-trip loops on its own, and
+  // the accumulators stay in registers only when they are unrolled.
+  __m256 acc[R][V];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_ps();
+  }
+  const float* a_rows = a + i0 * k;
+  for (int64_t p = 0; p < k; ++p) {
+    const float* b_row = b + p * n + j0;
+    __m256 bv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      bv[v] = kMasked ? _mm256_maskload_ps(b_row, mask)
+                      : _mm256_loadu_ps(b_row + 8 * v);
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_set1_ps(a_rows[r * k + p]);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) {
+        AddProductFirst(_mm256_mul_ps(av, bv[v]), acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    float* c_row = c + (i0 + r) * n + j0;
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      if constexpr (kMasked) {
+        _mm256_maskstore_ps(c_row, mask, acc[r][v]);
+      } else {
+        _mm256_storeu_ps(c_row + 8 * v, acc[r][v]);
+      }
+    }
+  }
+}
+
+// One block of R rows across every column of C.
+template <int R>
+void BlockedRowBlock(const float* a, const float* b, float* c, int64_t i0,
+                     int64_t n, int64_t k, __m256i tail_mask) {
+  int64_t j0 = 0;
+  if constexpr (R > 1) {
+    for (; j0 + 16 <= n; j0 += 16) {
+      BlockedTile<R, 2, false>(a, b, c, i0, j0, n, k, tail_mask);
+    }
+  }
+  for (; j0 + 8 <= n; j0 += 8) {
+    BlockedTile<R, 1, false>(a, b, c, i0, j0, n, k, tail_mask);
+  }
+  if (j0 < n) BlockedTile<R, 1, true>(a, b, c, i0, j0, n, k, tail_mask);
+}
+
 }  // namespace
 
 void ReluAvx2(const float* in, float* out, int64_t n) {
@@ -119,6 +190,26 @@ void MulScalarAvx2(float* data, float s, int64_t n) {
   for (; i < n; ++i) data[i] *= s;
 }
 
+void GemmBlockedAvx2Rows(const float* a, const float* b, float* c,
+                         int64_t row0, int64_t row1, int64_t n, int64_t k) {
+  // Lane l is live in the column tail when l < n % 8.
+  const __m256i tail_mask = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(n % 8)),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  int64_t i0 = row0;
+  if (n < 8) {
+    // Narrow C (convs over 1x1 and 2x2 maps): each row is one masked
+    // chain, so take 8 rows at a time to keep 8 chains in flight.
+    for (; i0 + 8 <= row1; i0 += 8) {
+      BlockedTile<8, 1, true>(a, b, c, i0, 0, n, k, tail_mask);
+    }
+  }
+  for (; i0 + 4 <= row1; i0 += 4) {
+    BlockedRowBlock<4>(a, b, c, i0, n, k, tail_mask);
+  }
+  for (; i0 < row1; ++i0) BlockedRowBlock<1>(a, b, c, i0, n, k, tail_mask);
+}
+
 }  // namespace mvtee::runtime::internal
 
 #else  // !__AVX2__: stub so the TU links everywhere.
@@ -135,6 +226,8 @@ void AddScalarAvx2(const float*, float, float*, int64_t) {}
 void ScaleAvx2(const float*, float, float, float*, int64_t) {}
 float MaxReduceAvx2(const float* x, int64_t) { return x[0]; }
 void MulScalarAvx2(float*, float, int64_t) {}
+void GemmBlockedAvx2Rows(const float*, const float*, float*, int64_t,
+                         int64_t, int64_t, int64_t) {}
 
 }  // namespace mvtee::runtime::internal
 

@@ -9,6 +9,10 @@
 // Dispatch (util::UseAvx2Elementwise) is therefore a speed decision,
 // never a diversity axis, same rule as the GEMM microkernel.
 //
+// The blocked GEMM backend's vector tier lives here for the same
+// reason: its contract is the scalar loop nest's mul-then-add order,
+// which an FMA-enabled TU could contract away.
+//
 // Softmax's exp and double-precision sum passes intentionally stay
 // scalar in kernels.cc: libm's exp has no vector twin with identical
 // rounding, and changing it would alter every variant's numeric
@@ -22,6 +26,12 @@ namespace mvtee::runtime::internal {
 
 // True when this binary carries the vector elementwise kernels.
 bool Avx2ElementwiseCompiled();
+
+// The dispatch gate for every kernel below: compiled in, and the host
+// and policy allow SIMD (util::UseAvx2Elementwise). Evaluated per call
+// (SimdEnabled is dynamic under ScopedForceScalar). Defined in
+// kernels.cc, outside this TU, so probing it never runs AVX2 code.
+bool UseAvx2ElementwiseTier();
 
 // All kernels tolerate exact aliasing (in == out).
 void ReluAvx2(const float* in, float* out, int64_t n);
@@ -38,5 +48,14 @@ void ScaleAvx2(const float* in, float alpha, float beta, float* out,
 // Softmax caller is insensitive to the ±0 corner because exp(±0) == 1.
 float MaxReduceAvx2(const float* x, int64_t n);
 void MulScalarAvx2(float* data, float s, int64_t n);
+
+// Blocked-backend GEMM tier: C rows [row0, row1) of C[M,N] = A[M,K] x
+// B[K,N], row-major B. Each C element is ((+0 + a0*b0) + a1*b1) + ...
+// in k order, vmulps then vaddps with the product as the add's first
+// source operand — bit for bit what GemmBlockedRows' scalar loop nest
+// computes, NaN payloads included. Register tiles of 4x16 with 4x8 and
+// 1x8 edges; column tails use masked loads/stores of the same tiles.
+void GemmBlockedAvx2Rows(const float* a, const float* b, float* c,
+                         int64_t row0, int64_t row1, int64_t n, int64_t k);
 
 }  // namespace mvtee::runtime::internal

@@ -177,8 +177,14 @@ AdminServer::HttpResponse AdminServer::Status() {
   // run on this host right now. AES-GCM names its tier (portable,
   // aesni128 or vaes512, the last on AVX-512); GEMM has no AVX-512 tier
   // yet (ROADMAP), so an avx512f host reports that headroom.
+  // avx2_gemm is the FMA-ordered kAvx2 backend; avx2_blocked_gemm is
+  // the blocked backend's mul-then-add tier, which needs AVX2 alone. It
+  // lives in the elementwise TU and shares its gate, so in any build
+  // that carries that TU it reads the same as avx2_elementwise; it is
+  // listed so both GEMM tiers are named where operators look for them.
   obs::JsonValue::Object simd;
   simd.emplace_back("avx2_gemm", runtime::GemmAvx2Accelerated());
+  simd.emplace_back("avx2_blocked_gemm", runtime::GemmBlockedAccelerated());
   simd.emplace_back("avx2_elementwise", util::UseAvx2Elementwise());
   simd.emplace_back("aes_gcm", crypto::AesGcmAccelerated());
   simd.emplace_back("aes_gcm_tier",

@@ -3,8 +3,11 @@
 // compositions, plus decoder robustness against truncation/corruption.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <tuple>
 
 #include "core/consistency.h"
 #include "core/messages.h"
@@ -445,14 +448,18 @@ struct ConvCase {
   int64_t channels, height, out_channels, kernel, stride, padding, groups;
 };
 
-class ConvGeometrySweep : public ::testing::TestWithParam<ConvCase> {};
+std::string ConvCaseName(const ConvCase& c) {
+  return "c" + std::to_string(c.channels) + "h" + std::to_string(c.height) +
+         "o" + std::to_string(c.out_channels) + "k" +
+         std::to_string(c.kernel) + "s" + std::to_string(c.stride) + "p" +
+         std::to_string(c.padding) + "g" + std::to_string(c.groups);
+}
 
-TEST_P(ConvGeometrySweep, AlgorithmsAgreeAndTogglesAreBitwiseNoOps) {
-  // Two properties per geometry: (1) kDirect and kIm2col stay within
-  // float tolerance of each other (they are distinct lowerings, not
-  // twins); (2) for EACH algorithm, SIMD dispatch and the pack cache
-  // are speed knobs only — toggling them must reproduce the exact bits.
-  const ConvCase c = GetParam();
+// Two properties per geometry and backend: (1) kDirect and kIm2col stay
+// within float tolerance of each other (they are distinct lowerings,
+// not twins); (2) for EACH algorithm, SIMD dispatch and the pack cache
+// are speed knobs only — toggling them must reproduce the exact bits.
+void CheckConvGeometry(const ConvCase& c, runtime::GemmBackend backend) {
   util::Rng rng(static_cast<uint64_t>(
       c.channels * 1'000'000 + c.kernel * 10'000 + c.stride * 1'000 +
       c.padding * 100 + c.groups));
@@ -468,8 +475,7 @@ TEST_P(ConvGeometrySweep, AlgorithmsAgreeAndTogglesAreBitwiseNoOps) {
   p.groups = c.groups;
 
   auto run = [&](runtime::ConvAlgo algo) {
-    return runtime::Conv2d(x, w, &b, p, algo,
-                           runtime::GemmBackend::kAvx2);
+    return runtime::Conv2d(x, w, &b, p, algo, backend);
   };
   const Tensor direct = run(runtime::ConvAlgo::kDirect);
   const Tensor im2col = run(runtime::ConvAlgo::kIm2col);
@@ -494,28 +500,166 @@ TEST_P(ConvGeometrySweep, AlgorithmsAgreeAndTogglesAreBitwiseNoOps) {
   }
 }
 
+const ConvCase kConvCases[] = {
+    ConvCase{8, 9, 8, 3, 1, 1, 1},     // the common 3x3 same-conv
+    ConvCase{8, 9, 8, 3, 2, 1, 1},     // strided
+    ConvCase{8, 9, 8, 3, 3, 2, 1},     // stride 3, fat padding
+    ConvCase{8, 9, 8, 3, 1, 0, 1},     // valid conv (shrinking)
+    ConvCase{8, 9, 16, 1, 1, 0, 1},    // 1x1: identity-cols fast path
+    ConvCase{8, 9, 16, 1, 2, 0, 1},    // 1x1 strided: no fast path
+    ConvCase{8, 9, 16, 1, 1, 1, 1},    // 1x1 padded: no fast path
+    ConvCase{8, 9, 8, 3, 1, 1, 4},     // grouped
+    ConvCase{8, 9, 8, 3, 2, 1, 8},     // depthwise, strided
+    ConvCase{4, 7, 4, 5, 1, 2, 2},     // 5x5 grouped on odd input
+    ConvCase{4, 5, 4, 5, 1, 0, 1},     // kernel == input extent
+    // Depthwise lowering (one input and one output channel per group).
+    ConvCase{8, 8, 8, 3, 1, 1, 8},     // 3x3 s1 p1
+    ConvCase{6, 9, 6, 5, 1, 2, 6},     // 5x5 s1 p2, odd extent
+    ConvCase{6, 11, 6, 5, 2, 2, 6},    // 5x5 s2 p2, odd extent
+    ConvCase{5, 1, 5, 5, 1, 2, 5},     // 5x5 over a 1x1 map: all padding
+    ConvCase{4, 7, 8, 3, 1, 1, 4},     // channel multiplier 2: im2col
+};
+
+class ConvGeometrySweep : public ::testing::TestWithParam<ConvCase> {};
+
+TEST_P(ConvGeometrySweep, AlgorithmsAgreeAndTogglesAreBitwiseNoOps) {
+  CheckConvGeometry(GetParam(), runtime::GemmBackend::kAvx2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometry, ConvGeometrySweep,
+                         ::testing::ValuesIn(kConvCases),
+                         [](const auto& info) {
+                           return ConvCaseName(info.param);
+                         });
+
+// The same sweep on the other three GEMM backends: the SIMD toggle
+// reaches kBlocked's AVX2 tier, and the depthwise geometries reach the
+// direct lowerings: kNaive's own loop, and the shared one in kBlocked's
+// and kTransposed's accumulation orders.
+class ConvGeometrySweepByBackend
+    : public ::testing::TestWithParam<
+          std::tuple<ConvCase, runtime::GemmBackend>> {};
+
+TEST_P(ConvGeometrySweepByBackend, AlgorithmsAgreeAndTogglesAreBitwiseNoOps) {
+  CheckConvGeometry(std::get<0>(GetParam()), std::get<1>(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Geometry, ConvGeometrySweep,
-    ::testing::Values(
-        ConvCase{8, 9, 8, 3, 1, 1, 1},     // the common 3x3 same-conv
-        ConvCase{8, 9, 8, 3, 2, 1, 1},     // strided
-        ConvCase{8, 9, 8, 3, 3, 2, 1},     // stride 3, fat padding
-        ConvCase{8, 9, 8, 3, 1, 0, 1},     // valid conv (shrinking)
-        ConvCase{8, 9, 16, 1, 1, 0, 1},    // 1x1: identity-cols fast path
-        ConvCase{8, 9, 16, 1, 2, 0, 1},    // 1x1 strided: no fast path
-        ConvCase{8, 9, 16, 1, 1, 1, 1},    // 1x1 padded: no fast path
-        ConvCase{8, 9, 8, 3, 1, 1, 4},     // grouped
-        ConvCase{8, 9, 8, 3, 2, 1, 8},     // depthwise, strided
-        ConvCase{4, 7, 4, 5, 1, 2, 2},     // 5x5 grouped on odd input
-        ConvCase{4, 5, 4, 5, 1, 0, 1}),    // kernel == input extent
+    Geometry, ConvGeometrySweepByBackend,
+    ::testing::Combine(::testing::ValuesIn(kConvCases),
+                       ::testing::Values(runtime::GemmBackend::kNaive,
+                                         runtime::GemmBackend::kBlocked,
+                                         runtime::GemmBackend::kTransposed)),
     [](const auto& info) {
-      const ConvCase& c = info.param;
-      return "c" + std::to_string(c.channels) + "h" +
-             std::to_string(c.height) + "o" + std::to_string(c.out_channels) +
-             "k" + std::to_string(c.kernel) + "s" + std::to_string(c.stride) +
-             "p" + std::to_string(c.padding) + "g" +
-             std::to_string(c.groups);
+      return ConvCaseName(std::get<0>(info.param)) + "_" +
+             std::string(runtime::GemmBackendName(std::get<1>(info.param)));
     });
+
+// ------------------------------------------------ depthwise lowering
+
+// Depthwise Conv2d computed as one groups = 1 conv per channel: each of
+// those is im2col plus a one-row GEMM, the lowering depthwise convs
+// used before they got their own loop.
+Tensor DepthwiseByChannel(const Tensor& x, const Tensor& w, const Tensor& b,
+                          const runtime::ConvParams& p,
+                          runtime::GemmBackend backend) {
+  const int64_t N = x.shape().dim(0), C = x.shape().dim(1),
+                H = x.shape().dim(2), W = x.shape().dim(3);
+  const int64_t K = w.shape().dim(2);
+  runtime::ConvParams single = p;
+  single.groups = 1;
+  Tensor out;
+  for (int64_t c = 0; c < C; ++c) {
+    Tensor xc(Shape({N, 1, H, W}));
+    for (int64_t n = 0; n < N; ++n) {
+      std::memcpy(xc.data() + n * H * W, x.data() + (n * C + c) * H * W,
+                  static_cast<size_t>(H * W) * sizeof(float));
+    }
+    const Tensor wc(Shape({1, 1, K, K}),
+                    std::vector<float>(w.data() + c * K * K,
+                                       w.data() + (c + 1) * K * K));
+    const Tensor bc(Shape({1}), std::vector<float>{b.data()[c]});
+    const Tensor yc = runtime::Conv2d(xc, wc, &bc, single,
+                                      runtime::ConvAlgo::kIm2col, backend);
+    const int64_t plane = yc.shape().dim(2) * yc.shape().dim(3);
+    if (c == 0) {
+      out = Tensor(Shape({N, C, yc.shape().dim(2), yc.shape().dim(3)}));
+    }
+    for (int64_t n = 0; n < N; ++n) {
+      std::memcpy(out.data() + (n * C + c) * plane, yc.data() + n * plane,
+                  static_cast<size_t>(plane) * sizeof(float));
+    }
+  }
+  return out;
+}
+
+TEST(DepthwiseProperty, EqualsPerChannelComposition) {
+  // Finite data: bitwise equal on every backend and geometry. With NaN,
+  // +-Inf, -0 and denormals in input and weights, NaN lands on the same
+  // positions and every other value keeps its bits; a NaN's sign may
+  // differ, because the compiler picks the add operand order in the
+  // baseline TU and a non-finite output is a dissent whatever its bits.
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            -0.0f, 1e-40f, -1e-40f};
+  util::Rng rng(14);
+  int trials = 0;
+  for (auto backend :
+       {runtime::GemmBackend::kNaive, runtime::GemmBackend::kBlocked,
+        runtime::GemmBackend::kTransposed, runtime::GemmBackend::kAvx2}) {
+    for (int64_t kernel : {1, 2, 3, 5}) {
+      for (int64_t stride : {1, 2, 3}) {
+        for (int64_t padding : {0, 1, 2}) {
+          for (int64_t height : {1, 5, 8}) {
+            if (height + 2 * padding < kernel) continue;
+            const int64_t C = 5;
+            Tensor x = Tensor::RandomUniform(Shape({2, C, height, height}),
+                                             rng);
+            Tensor w = Tensor::RandomUniform(Shape({C, 1, kernel, kernel}),
+                                             rng);
+            const Tensor b = Tensor::RandomUniform(Shape({C}), rng);
+            const runtime::ConvParams p{stride, padding, C};
+            const std::string where =
+                std::string(runtime::GemmBackendName(backend)) + " k" +
+                std::to_string(kernel) + "s" + std::to_string(stride) + "p" +
+                std::to_string(padding) + "h" + std::to_string(height);
+
+            const Tensor lowered = runtime::Conv2d(
+                x, w, &b, p, runtime::ConvAlgo::kIm2col, backend);
+            const Tensor composed = DepthwiseByChannel(x, w, b, p, backend);
+            ASSERT_EQ(lowered.shape(), composed.shape()) << where;
+            EXPECT_EQ(std::memcmp(lowered.data(), composed.data(),
+                                  lowered.byte_size()),
+                      0)
+                << where;
+
+            for (auto* t : {&x, &w}) {
+              for (int64_t i = 0; i < t->num_elements(); ++i) {
+                if (rng.UniformInt(0, 6) == 0) {
+                  t->data()[i] = specials[rng.UniformInt(0, 5)];
+                }
+              }
+            }
+            const Tensor lowered_nf = runtime::Conv2d(
+                x, w, &b, p, runtime::ConvAlgo::kIm2col, backend);
+            const Tensor composed_nf = DepthwiseByChannel(x, w, b, p, backend);
+            for (int64_t i = 0; i < lowered_nf.num_elements(); ++i) {
+              const float u = lowered_nf.data()[i], v = composed_nf.data()[i];
+              ASSERT_EQ(std::isnan(u), std::isnan(v)) << where << " @" << i;
+              if (!std::isnan(u)) {
+                ASSERT_EQ(std::memcmp(&u, &v, sizeof(float)), 0)
+                    << where << " @" << i;
+              }
+            }
+            ++trials;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(trials, 100);
+}
 
 }  // namespace
 }  // namespace mvtee

@@ -81,29 +81,78 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, GemmBackendTest,
                            return std::string(GemmBackendName(info.param));
                          });
 
+std::vector<float> TrickyFloats() {
+  // Exercise every special the AVX2 tier must reproduce exactly:
+  // signed zeros, NaN, infinities, denormals and values around the
+  // relu6/hardswish breakpoints (-3, 0, 3, 6).
+  std::vector<float> v = {
+      0.0f, -0.0f, 1.0f, -1.0f, 6.0f, -6.0f, 5.9999995f, 6.0000005f,
+      3.0f, -3.0f, 2.9999998f, -2.9999998f, 1e-40f, -1e-40f,
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::max(), std::numeric_limits<float>::lowest(),
+      std::numeric_limits<float>::denorm_min()};
+  util::Rng rng(51);
+  while (v.size() < 103) v.push_back(rng.UniformFloat(-10, 10));
+  return v;
+}
+
 TEST(GemmAvx2Test, DispatchPathsAreBitwiseIdentical) {
-  // The whole point of the scalar fallback: MVTEE_SIMD=0 (or a host
+  // The whole point of the scalar fallbacks: MVTEE_SIMD=0 (or a host
   // without AVX2) must produce the exact same bits as the vector
-  // kernel, so dispatch is a speed decision and never a diversity axis.
+  // kernels, NaN payloads included, so dispatch is a speed decision and
+  // never a diversity axis. kAvx2 pairs its FMA microkernel with an
+  // fmaf chain; kBlocked pairs its register tiles with the scalar loop
+  // nest. The grid reaches every tile edge of both: kAvx2's 6-row
+  // microkernel and its 1-5 row remainders (m mod 6), the blocked tier's
+  // 4-row blocks plus 1-3 leftover rows, 8-row blocks of narrow C, 16-
+  // and 8-wide column tiles and masked column tails. Each grid shape
+  // runs twice: on TrickyFloats() operands for the specials (at k = 66
+  // nearly every output is then non-finite), and on finite operands so
+  // long finite chains are compared too. The last five shapes, finite
+  // only, span several kAvx2 panels and the loop nest's 64-wide tiles.
+  const std::vector<float> tricky = TrickyFloats();
   util::Rng rng(0xa2f);
+  std::vector<std::tuple<int, int, int, bool>> cases;
+  for (int m : {1, 2, 3, 4, 5, 6, 9, 11, 19}) {
+    for (int n : {1, 7, 8, 9, 15, 16, 17, 63}) {
+      for (int k : {1, 9, 66}) {
+        cases.emplace_back(m, n, k, true);
+        cases.emplace_back(m, n, k, false);
+      }
+    }
+  }
   for (auto [m, n, k] : std::vector<std::tuple<int, int, int>>{
            {3, 5, 7}, {6, 16, 4}, {17, 16, 9}, {65, 63, 66}, {64, 48, 32}}) {
-    std::vector<float> a(static_cast<size_t>(m) * k),
-        b(static_cast<size_t>(k) * n);
-    for (auto& v : a) v = rng.UniformFloat(-1, 1);
-    for (auto& v : b) v = rng.UniformFloat(-1, 1);
-    std::vector<float> fast(static_cast<size_t>(m) * n, -1.0f);
-    std::vector<float> scalar(static_cast<size_t>(m) * n, 1.0f);
-    Gemm(GemmBackend::kAvx2, a.data(), b.data(), fast.data(), m, n, k);
-    {
-      util::ScopedForceScalar force_scalar;
-      ASSERT_FALSE(GemmAvx2Accelerated());
-      Gemm(GemmBackend::kAvx2, a.data(), b.data(), scalar.data(), m, n, k);
+    cases.emplace_back(m, n, k, false);
+  }
+  for (GemmBackend backend : {GemmBackend::kAvx2, GemmBackend::kBlocked}) {
+    for (auto [m, n, k, specials] : cases) {
+      std::vector<float> a(static_cast<size_t>(m) * k),
+          b(static_cast<size_t>(k) * n);
+      for (std::vector<float>* v : {&a, &b}) {
+        for (auto& x : *v) {
+          x = specials ? tricky[static_cast<size_t>(rng.UniformInt(
+                             0, static_cast<int64_t>(tricky.size()) - 1))]
+                       : rng.UniformFloat(-1, 1);
+        }
+      }
+      std::vector<float> fast(static_cast<size_t>(m) * n, -1.0f);
+      std::vector<float> scalar(static_cast<size_t>(m) * n, 1.0f);
+      Gemm(backend, a.data(), b.data(), fast.data(), m, n, k);
+      {
+        util::ScopedForceScalar force_scalar;
+        ASSERT_FALSE(GemmAvx2Accelerated());
+        ASSERT_FALSE(GemmBlockedAccelerated());
+        Gemm(backend, a.data(), b.data(), scalar.data(), m, n, k);
+      }
+      ASSERT_EQ(std::memcmp(fast.data(), scalar.data(),
+                            fast.size() * sizeof(float)),
+                0)
+          << GemmBackendName(backend) << " " << m << "x" << n << "x" << k
+          << (specials ? " specials" : " finite");
     }
-    ASSERT_EQ(std::memcmp(fast.data(), scalar.data(),
-                          fast.size() * sizeof(float)),
-              0)
-        << m << "x" << n << "x" << k;
   }
 }
 
@@ -426,6 +475,23 @@ TEST(ExecutorTest, RunsSmallNet) {
   ASSERT_EQ(out->size(), 1u);
   EXPECT_EQ((*out)[0].shape(), Shape({1, 10}));
   EXPECT_FALSE(tensor::HasNonFinite((*out)[0]));
+
+  // Outputs move out of the executor's environment; a node listed twice
+  // must still yield two equal tensors.
+  g.MarkOutput(g.outputs()[0]);
+  auto twice = Executor::Create(g, ReferenceExecutorConfig());
+  ASSERT_TRUE(twice.ok());
+  auto outs = (*twice)->Run({input});
+  ASSERT_TRUE(outs.ok()) << outs.status().ToString();
+  ASSERT_EQ(outs->size(), 2u);
+  ASSERT_EQ((*outs)[0].shape(), Shape({1, 10}));
+  ASSERT_EQ((*outs)[1].shape(), (*outs)[0].shape());
+  EXPECT_EQ(std::memcmp((*outs)[0].data(), (*outs)[1].data(),
+                        (*outs)[0].byte_size()),
+            0);
+  EXPECT_EQ(std::memcmp((*outs)[0].data(), (*out)[0].data(),
+                        (*out)[0].byte_size()),
+            0);
 }
 
 TEST(ExecutorTest, RejectsWrongInputCount) {
@@ -942,23 +1008,6 @@ TEST(PackCacheTest, SteadyStateInferenceTakesNoFreshPoolAllocations) {
 }
 
 // ------------------------------------------------- elementwise dispatch
-
-std::vector<float> TrickyFloats() {
-  // Exercise every special the AVX2 tier must reproduce exactly:
-  // signed zeros, NaN, infinities, denormals and values around the
-  // relu6/hardswish breakpoints (-3, 0, 3, 6).
-  std::vector<float> v = {
-      0.0f, -0.0f, 1.0f, -1.0f, 6.0f, -6.0f, 5.9999995f, 6.0000005f,
-      3.0f, -3.0f, 2.9999998f, -2.9999998f, 1e-40f, -1e-40f,
-      std::numeric_limits<float>::infinity(),
-      -std::numeric_limits<float>::infinity(),
-      std::numeric_limits<float>::quiet_NaN(),
-      std::numeric_limits<float>::max(), std::numeric_limits<float>::lowest(),
-      std::numeric_limits<float>::denorm_min()};
-  util::Rng rng(51);
-  while (v.size() < 103) v.push_back(rng.UniformFloat(-10, 10));
-  return v;
-}
 
 TEST(ElementwiseDispatchTest, VectorAndScalarTiersAreBitwiseIdentical) {
   const std::vector<float> in = TrickyFloats();

@@ -29,6 +29,7 @@
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/watchdog.h"
+#include "runtime/gemm.h"
 #include "service/admin.h"
 #include "service/inference_service.h"
 #include "service/scheduler.h"
@@ -1028,6 +1029,11 @@ TEST_F(ServiceTest, AdminEndpointsServeLiveState) {
   // The GCM tier the front end's records run on is named, not implied.
   EXPECT_EQ(build->Find("simd_dispatch")->Find("aes_gcm_tier")->as_string(),
             crypto::GcmTierName(crypto::SelectedGcmTier()));
+  // So is the blocked GEMM backend's AVX2 tier, apart from kAvx2's.
+  const obs::JsonValue* blocked_gemm =
+      build->Find("simd_dispatch")->Find("avx2_blocked_gemm");
+  ASSERT_NE(blocked_gemm, nullptr);
+  EXPECT_EQ(blocked_gemm->as_bool(), runtime::GemmBlockedAccelerated());
   const obs::JsonValue* timelines = sjson->Find("timelines");
   ASSERT_NE(timelines, nullptr);
   EXPECT_EQ(timelines->Find("total_noted")->as_number(), 3.0);
