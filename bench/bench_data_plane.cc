@@ -325,18 +325,18 @@ RoundTripResult RunRoundTrip(ChannelPair& pair, int iters) {
   for (const auto& t : msg.outputs) out.payload_bytes += t.byte_size();
 
   auto legacy_once = [&] {
-    Bytes frame = core::EncodeInferResult(msg);
+    Bytes frame = core::Encode(msg);
     MVTEE_CHECK(pair.variant_ch->Send(frame).ok());
     auto got = pair.monitor_ch->Recv(1'000'000);
     MVTEE_CHECK(got.ok());
-    auto decoded = core::DecodeInferResult(*got);
+    auto decoded = core::Decode<core::InferResultMsg>(*got);
     MVTEE_CHECK(decoded.ok() && decoded->outputs.size() == out.tensors);
   };
   auto pooled_once = [&] {
     MVTEE_CHECK(core::SendFrame(*pair.variant_ch, msg).ok());
     auto got = pair.monitor_ch->RecvPooled(1'000'000);
     MVTEE_CHECK(got.ok());
-    auto decoded = core::DecodeInferResult(*got);
+    auto decoded = core::Decode<core::InferResultMsg>(*got);
     MVTEE_CHECK(decoded.ok() && decoded->outputs.size() == out.tensors);
   };
 

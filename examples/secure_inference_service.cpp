@@ -193,5 +193,6 @@ int main() {
   (void)(*monitor)->Shutdown();
   host.JoinAll();
   std::printf("\n=== service shut down cleanly ===\n");
-  return 0;
+  // Non-zero unless every request was served, so a smoke run gates.
+  return completed.load() == 16 && post_update == "OK" ? 0 : 1;
 }

@@ -17,6 +17,16 @@ namespace mvtee::core {
 
 using tensor::Tensor;
 
+namespace {
+// Whether a request carries exactly the model's inputs, shape for shape.
+bool MatchesShapes(const std::vector<Tensor>& inputs,
+                   const std::vector<tensor::Shape>& shapes) {
+  return std::equal(
+      inputs.begin(), inputs.end(), shapes.begin(), shapes.end(),
+      [](const Tensor& t, const tensor::Shape& s) { return t.shape() == s; });
+}
+}  // namespace
+
 namespace internal {
 
 // State shared between the monitor's request loop and every Session
@@ -315,6 +325,7 @@ void Monitor::BindMetrics() {
   m_.fast_path_forwards = &metrics_->GetCounter("monitor.fast_path_forwards");
   m_.divergences = &metrics_->GetCounter("monitor.divergences");
   m_.late_divergences = &metrics_->GetCounter("monitor.late_divergences");
+  m_.unchecked_reports = &metrics_->GetCounter("monitor.unchecked_reports");
   m_.variant_failures = &metrics_->GetCounter("monitor.variant_failures");
   m_.bytes_sent = &metrics_->GetCounter("monitor.bytes_sent");
   m_.wall_us = &metrics_->GetCounter("monitor.wall_us");
@@ -410,10 +421,10 @@ util::Result<Monitor::VariantConn> Monitor::BindVariant(
   AssignIdentityMsg assign;
   assign.variant_id = variant_id;
   assign.variant_key = entry->variant_key;
-  MVTEE_RETURN_IF_ERROR(conn.channel->Send(EncodeAssignIdentity(assign)));
+  MVTEE_RETURN_IF_ERROR(conn.channel->Send(Encode(assign)));
   MVTEE_ASSIGN_OR_RETURN(util::Bytes frame,
                          conn.channel->Recv(config_.recv_timeout_us));
-  MVTEE_ASSIGN_OR_RETURN(IdentityAckMsg ack, DecodeIdentityAck(frame));
+  MVTEE_ASSIGN_OR_RETURN(IdentityAckMsg ack, Decode<IdentityAckMsg>(frame));
   if (!ack.ok) {
     return util::Internal("variant '" + variant_id +
                           "' failed bootstrap: " + ack.error);
@@ -524,7 +535,7 @@ util::Status Monitor::ConfigureRoutes(VariantHost& host) {
       SetupRoutesMsg msg = has_routes ? it->second : SetupRoutesMsg{};
       msg.report_to_monitor = stage_reports_[s];
       MVTEE_RETURN_IF_ERROR(
-          stages_[s].variants[v].channel->Send(EncodeSetupRoutes(msg)));
+          stages_[s].variants[v].channel->Send(Encode(msg)));
       sent.push_back({s, v});
     }
   }
@@ -532,7 +543,7 @@ util::Status Monitor::ConfigureRoutes(VariantHost& host) {
     MVTEE_ASSIGN_OR_RETURN(
         util::Bytes frame,
         stages_[s].variants[v].channel->Recv(config_.recv_timeout_us));
-    MVTEE_ASSIGN_OR_RETURN(RoutesAckMsg ack, DecodeRoutesAck(frame));
+    MVTEE_ASSIGN_OR_RETURN(RoutesAckMsg ack, Decode<RoutesAckMsg>(frame));
     if (!ack.ok) {
       return util::Internal("route setup failed at " +
                             stages_[s].variants[v].id + ": " + ack.error);
@@ -580,7 +591,7 @@ util::Status Monitor::Initialize(const OfflineBundle& bundle,
   stages_ = std::move(stages);
   stage_inputs_ = bundle.stage_inputs;
   model_outputs_ = bundle.model_outputs;
-  num_model_inputs_ = bundle.num_model_inputs;
+  model_input_shapes_ = bundle.model_input_shapes;
   network_ = host.options().network;
   crypto_bytes_per_us_ =
       host.options().plaintext_channels ? 0.0
@@ -633,7 +644,7 @@ util::Status Monitor::UpdateStage(const OfflineBundle& bundle,
   // Retire the old TEEs.
   StageState& st = stages_[static_cast<size_t>(stage)];
   for (auto& conn : st.variants) {
-    (void)conn.channel->Send(EncodeShutdown());
+    (void)conn.channel->Send(Encode(ShutdownMsg{}));
     conn.channel->Close();
     std::lock_guard<std::mutex> lock(bindings_mu_);
     for (auto& b : bindings_) {
@@ -883,12 +894,10 @@ util::Status Monitor::ServeStream(BatchFormer& former) {
                false);
         continue;
       }
-      if (static_cast<int64_t>(item.batches.front().size()) !=
-          num_model_inputs_) {
+      if (!MatchesShapes(item.batches.front(), model_input_shapes_)) {
         InferenceResponse response;
         response.status = util::InvalidArgument(
-            "expected " + std::to_string(num_model_inputs_) +
-            " model inputs per request");
+            "request inputs do not match the model's input shapes");
         response.seq = item.seq;
         response.latency_us = now - item.enqueue_us;
         answer(item, std::move(response), now - item.enqueue_us, 0, 0,
@@ -1078,10 +1087,10 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
   if (feed == nullptr) {
     if (num_batches == 0) return std::vector<std::vector<Tensor>>{};
     for (const auto& b : batches) {
-      if (static_cast<int64_t>(b.size()) != num_model_inputs_) {
-        return util::InvalidArgument("expected " +
-                                     std::to_string(num_model_inputs_) +
-                                     " model inputs per batch");
+      if (b.size() != model_input_shapes_.size()) {
+        return util::InvalidArgument(
+            "expected " + std::to_string(model_input_shapes_.size()) +
+            " model inputs per batch");
       }
     }
   }
@@ -1904,7 +1913,14 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
   auto handle_result = [&](size_t s, size_t vi, InferResultMsg&& msg) {
     if (msg.batch_id < base + window_base ||
         msg.batch_id >= base + (feed != nullptr ? admitted : num_batches)) {
-      return;  // stale frame: earlier (aborted) run, or a GC'd batch
+      // Stale frame: earlier (aborted) run, or a GC'd batch. A panel
+      // member's report for a batch whose state is gone is never
+      // cross-checked.
+      if (msg.batch_id < base + window_base &&
+          stages_[s].variants.size() > 1) {
+        m_.unchecked_reports->Add(1);
+      }
+      return;
     }
     const size_t b = static_cast<size_t>(msg.batch_id - base);
     BatchState& state = bat(b);
@@ -2241,7 +2257,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
         if (!type.ok() || *type != MsgType::kInferResult) continue;
         handling_cpu0 = util::ThreadCpuMicros();
         send_cpu_excluded = 0;
-        auto msg = DecodeInferResult(*frame);
+        auto msg = Decode<InferResultMsg>(*frame);
         if (!msg.ok()) {
           if (run_error.ok()) run_error = msg.status();
           continue;
@@ -2404,7 +2420,7 @@ util::Status Monitor::Shutdown() {
   if (!initialized_) return util::OkStatus();
   for (auto& stage : stages_) {
     for (auto& conn : stage.variants) {
-      (void)conn.channel->Send(EncodeShutdown());
+      (void)conn.channel->Send(Encode(ShutdownMsg{}));
       conn.channel->Close();
     }
   }

@@ -500,7 +500,7 @@ class Monitor {
   std::vector<StageState> stages_;
   std::vector<std::vector<partition::StageInputSource>> stage_inputs_;
   std::vector<partition::StageInputSource> model_outputs_;
-  int64_t num_model_inputs_ = 0;
+  std::vector<tensor::Shape> model_input_shapes_;
   bool initialized_ = false;
   bool routes_configured_ = false;
 
@@ -536,6 +536,9 @@ class Monitor {
     obs::Counter* fast_path_forwards = nullptr;
     obs::Counter* divergences = nullptr;
     obs::Counter* late_divergences = nullptr;
+    // MVX-panel reports dropped because their batch's state was already
+    // reclaimed: async stragglers a serving stream never cross-checks.
+    obs::Counter* unchecked_reports = nullptr;
     obs::Counter* variant_failures = nullptr;
     obs::Counter* bytes_sent = nullptr;
     obs::Counter* wall_us = nullptr;

@@ -49,7 +49,13 @@ util::Bytes OfflineBundle::SerializeConfig() const {
   util::Bytes out;
   util::AppendU32(out, 0x4d564f43);  // "MVOC"
   util::AppendU32(out, static_cast<uint32_t>(num_stages));
-  util::AppendU32(out, static_cast<uint32_t>(num_model_inputs));
+  util::AppendU32(out, static_cast<uint32_t>(model_input_shapes.size()));
+  for (const auto& shape : model_input_shapes) {
+    util::AppendU32(out, static_cast<uint32_t>(shape.rank()));
+    for (int64_t d : shape.dims()) {
+      util::AppendU64(out, static_cast<uint64_t>(d));
+    }
+  }
   util::AppendU32(out, static_cast<uint32_t>(stage_inputs.size()));
   for (const auto& sources : stage_inputs) {
     util::AppendU32(out, static_cast<uint32_t>(sources.size()));
@@ -78,13 +84,29 @@ util::Result<OfflineBundle> OfflineBundle::DeserializeConfig(
   }
   OfflineBundle bundle;
   uint32_t stages, inputs, stage_input_count;
-  if (!reader.ReadU32(stages) || !reader.ReadU32(inputs) ||
-      !reader.ReadU32(stage_input_count) || stages > 1024 ||
-      stage_input_count != stages) {
+  if (!reader.ReadU32(stages) || !reader.ReadU32(inputs) || stages > 1024 ||
+      inputs > 1024) {
     return util::InvalidArgument("malformed bundle config header");
   }
   bundle.num_stages = stages;
-  bundle.num_model_inputs = inputs;
+  for (uint32_t i = 0; i < inputs; ++i) {
+    uint32_t rank;
+    if (!reader.ReadU32(rank) || rank > 8) {
+      return util::InvalidArgument("malformed model input shape");
+    }
+    std::vector<int64_t> dims(rank);
+    for (auto& d : dims) {
+      uint64_t v;
+      if (!reader.ReadU64(v) || v > (1ULL << 32)) {
+        return util::InvalidArgument("malformed model input dim");
+      }
+      d = static_cast<int64_t>(v);
+    }
+    bundle.model_input_shapes.emplace_back(std::move(dims));
+  }
+  if (!reader.ReadU32(stage_input_count) || stage_input_count != stages) {
+    return util::InvalidArgument("malformed bundle config header");
+  }
   for (uint32_t s = 0; s < stages; ++s) {
     uint32_t count;
     if (!reader.ReadU32(count) || count > 4096) {
@@ -177,14 +199,8 @@ util::Result<OfflineBundle> RunOfflineTool(const graph::Graph& model,
   // 3. Keys + encrypted private files.
   OfflineBundle bundle;
   bundle.num_stages = pm.num_stages();
-  bundle.num_model_inputs = 0;
-  for (const auto& sources : pm.stage_inputs) {
-    for (const auto& src : sources) {
-      if (src.stage < 0) {
-        bundle.num_model_inputs =
-            std::max<int64_t>(bundle.num_model_inputs, src.index + 1);
-      }
-    }
+  for (graph::NodeId id : model.inputs()) {
+    bundle.model_input_shapes.push_back(model.input_shape(id));
   }
   bundle.stage_inputs = pm.stage_inputs;
   bundle.model_outputs = pm.model_outputs;

@@ -17,6 +17,7 @@
 #include "partition/partition.h"
 #include "tee/manifest.h"
 #include "tee/sealed_fs.h"
+#include "tensor/tensor.h"
 #include "util/status.h"
 #include "variant/spec.h"
 
@@ -48,7 +49,9 @@ std::string VariantGraphPath(const std::string& variant_id);
 struct OfflineBundle {
   // Stage wiring the monitor routes tensors by.
   int64_t num_stages = 0;
-  int64_t num_model_inputs = 0;
+  // Shape of each model input, in input order: admission answers a
+  // request that does not match them before it reaches a variant.
+  std::vector<tensor::Shape> model_input_shapes;
   std::vector<std::vector<partition::StageInputSource>> stage_inputs;
   std::vector<partition::StageInputSource> model_outputs;
   partition::PartitionSet partition_set;

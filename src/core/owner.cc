@@ -24,12 +24,12 @@ util::Status ModelOwner::ProvisionDeployment(
   msg.nonce = crypto::GlobalRandom().Generate(32);
   msg.bundle_config = bundle_.SerializeConfig();
   msg.stage_variant_ids = selection.stage_variant_ids;
-  MVTEE_RETURN_IF_ERROR(channel_->Send(EncodeProvision(msg)));
+  MVTEE_RETURN_IF_ERROR(channel_->Send(Encode(msg)));
 
   // Fig. 6 step 8: initialization results bound to the nonce.
   MVTEE_ASSIGN_OR_RETURN(util::Bytes frame, channel_->Recv(timeout_us));
   MVTEE_ASSIGN_OR_RETURN(ProvisionResultMsg result,
-                         DecodeProvisionResult(frame));
+                         Decode<ProvisionResultMsg>(frame));
   if (!util::ConstantTimeEqual(result.nonce, msg.nonce)) {
     return util::ReplayDetected("provision result nonce mismatch");
   }
@@ -55,9 +55,9 @@ util::Result<size_t> ModelOwner::VerifyDeployment(
   if (!channel_) return util::FailedPrecondition("not provisioned");
   AttestQueryMsg query;
   query.nonce = crypto::GlobalRandom().Generate(32);
-  MVTEE_RETURN_IF_ERROR(channel_->Send(EncodeAttestQuery(query)));
+  MVTEE_RETURN_IF_ERROR(channel_->Send(Encode(query)));
   MVTEE_ASSIGN_OR_RETURN(util::Bytes frame, channel_->Recv(timeout_us));
-  MVTEE_ASSIGN_OR_RETURN(AttestReplyMsg reply, DecodeAttestReply(frame));
+  MVTEE_ASSIGN_OR_RETURN(AttestReplyMsg reply, Decode<AttestReplyMsg>(frame));
   if (!util::ConstantTimeEqual(reply.nonce, query.nonce)) {
     return util::ReplayDetected("attestation reply nonce mismatch");
   }
@@ -80,7 +80,7 @@ util::Result<size_t> ModelOwner::VerifyDeployment(
 
 void ModelOwner::Disconnect() {
   if (!channel_) return;
-  (void)channel_->Send(EncodeShutdown());
+  (void)channel_->Send(Encode(ShutdownMsg{}));
   channel_->Close();
   channel_.reset();
 }
@@ -106,7 +106,7 @@ util::Status ServeOwner(Monitor& monitor, VariantHost& host,
 
     switch (*type) {
       case MsgType::kProvision: {
-        auto msg = DecodeProvision(*frame);
+        auto msg = Decode<ProvisionMsg>(*frame);
         ProvisionResultMsg result;
         if (!msg.ok()) {
           result.ok = false;
@@ -130,11 +130,11 @@ util::Status ServeOwner(Monitor& monitor, VariantHost& host,
             }
           }
         }
-        MVTEE_RETURN_IF_ERROR(channel->Send(EncodeProvisionResult(result)));
+        MVTEE_RETURN_IF_ERROR(channel->Send(Encode(result)));
         break;
       }
       case MsgType::kAttestQuery: {
-        auto msg = DecodeAttestQuery(*frame);
+        auto msg = Decode<AttestQueryMsg>(*frame);
         if (!msg.ok()) return msg.status();
         AttestReplyMsg reply;
         reply.nonce = msg->nonce;
@@ -143,7 +143,7 @@ util::Status ServeOwner(Monitor& monitor, VariantHost& host,
             reply.variant_reports.push_back(b.report);
           }
         }
-        MVTEE_RETURN_IF_ERROR(channel->Send(EncodeAttestReply(reply)));
+        MVTEE_RETURN_IF_ERROR(channel->Send(Encode(reply)));
         break;
       }
       case MsgType::kShutdown:

@@ -393,7 +393,7 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
       }
       switch (*type) {
         case MsgType::kAssignIdentity: {
-          auto msg = DecodeAssignIdentity(frame->span());
+          auto msg = Decode<AssignIdentityMsg>(frame->span());
           IdentityAckMsg ack;
           if (!msg.ok()) {
             ack.ok = false;
@@ -409,11 +409,11 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
               ack.manifest_hash = enclave->manifest().Hash();
             }
           }
-          (void)monitor_channel->Send(EncodeIdentityAck(ack));
+          (void)monitor_channel->Send(Encode(ack));
           break;
         }
         case MsgType::kSetupRoutes: {
-          auto msg = DecodeSetupRoutes(frame->span());
+          auto msg = Decode<SetupRoutesMsg>(frame->span());
           RoutesAckMsg ack;
           if (!msg.ok()) {
             ack.ok = false;
@@ -424,11 +424,11 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
             ack.ok = status.ok();
             if (!status.ok()) ack.error = status.ToString();
           }
-          (void)monitor_channel->Send(EncodeRoutesAck(ack));
+          (void)monitor_channel->Send(Encode(ack));
           break;
         }
         case MsgType::kInfer: {
-          auto msg = DecodeInfer(*frame);
+          auto msg = Decode<InferMsg>(*frame);
           if (msg.ok() && state.executor) {
             state.vclock_us = std::max(
                 state.vclock_us, static_cast<int64_t>(msg->vtime_us));
@@ -444,7 +444,7 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
             err.batch_id = msg->batch_id;
             err.ok = false;
             err.error = "variant not initialized";
-            (void)monitor_channel->Send(EncodeInferResult(err));
+            (void)monitor_channel->Send(Encode(err));
           }
           break;
         }
@@ -462,7 +462,7 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
       auto data_frame = up.channel->RecvPooled(0, &up_header);
       if (!data_frame.ok()) continue;
       progressed = true;
-      auto msg = DecodeStageData(*data_frame);  // tensors alias the frame
+      auto msg = Decode<StageDataMsg>(*data_frame);  // tensors alias the frame
       if (!msg.ok() || !state.executor) continue;
       state.vclock_us =
           std::max(state.vclock_us, static_cast<int64_t>(msg->vtime_us));

@@ -167,7 +167,7 @@ void InferenceService::RunSession(
     if (!type.ok() || *type == core::MsgType::kShutdown) break;
     if (*type != core::MsgType::kSessionSubmit) break;
 
-    auto msg = core::DecodeSessionSubmit(*frame);
+    auto msg = core::Decode<core::SessionSubmitMsg>(*frame);
     if (!msg.ok()) break;
 
     core::SessionReplyMsg reply;
@@ -262,7 +262,7 @@ util::Result<std::vector<tensor::Tensor>> InferenceClient::Infer(
   MVTEE_ASSIGN_OR_RETURN(transport::InFrame frame,
                          channel_.RecvPooled(recv_timeout_us));
   MVTEE_ASSIGN_OR_RETURN(core::SessionReplyMsg reply,
-                         core::DecodeSessionReply(frame));
+                         core::Decode<core::SessionReplyMsg>(frame));
   if (reply.seq != msg.seq) {
     return util::ReplayDetected("reply sequence mismatch");
   }
@@ -283,7 +283,7 @@ const tee::AttestationReport& InferenceClient::monitor_report() {
 void InferenceClient::Disconnect() {
   if (disconnected_) return;
   disconnected_ = true;
-  (void)channel_.Send(core::EncodeShutdown());
+  (void)channel_.Send(core::Encode(core::ShutdownMsg{}));
   channel_.Close();
 }
 

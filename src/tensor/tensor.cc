@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "util/dataplane_stats.h"
@@ -141,22 +142,30 @@ util::Result<Shape> ParseTensorHeader(util::ByteReader& reader,
   if (!reader.ReadU32(rank) || rank > 8) {
     return util::InvalidArgument("bad tensor rank");
   }
+  // The dims are untrusted: multiply them with an overflow check here,
+  // since Shape::num_elements() trusts its dims.
   std::vector<int64_t> dims(rank);
+  int64_t elements = 1;
   for (auto& d : dims) {
     uint64_t v;
     if (!reader.ReadU64(v)) return util::InvalidArgument("truncated dims");
     if (v > (1ULL << 32)) return util::InvalidArgument("dim too large");
     d = static_cast<int64_t>(v);
+    if (d != 0 && elements > std::numeric_limits<int64_t>::max() / d) {
+      return util::InvalidArgument("element count overflows");
+    }
+    elements *= d;
   }
-  Shape shape(std::move(dims));
   if (!reader.ReadU64(count)) return util::InvalidArgument("truncated count");
-  if (static_cast<int64_t>(count) != shape.num_elements()) {
+  if (count != static_cast<uint64_t>(elements)) {
     return util::InvalidArgument("element count mismatch");
   }
-  if (reader.remaining() != count * sizeof(float)) {
+  // Bound the count before scaling it, so the byte size cannot wrap.
+  if (count > reader.remaining() / sizeof(float) ||
+      reader.remaining() != count * sizeof(float)) {
     return util::InvalidArgument("payload size mismatch");
   }
-  return shape;
+  return Shape(std::move(dims));
 }
 }  // namespace
 

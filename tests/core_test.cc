@@ -134,10 +134,10 @@ TEST(VoteTest, SingleVariantPanels) {
 
 TEST(MessagesTest, AssignIdentityRoundTrip) {
   AssignIdentityMsg msg{"s2.v1", util::Bytes(32, 0x42)};
-  auto frame = EncodeAssignIdentity(msg);
+  auto frame = Encode(msg);
   ASSERT_TRUE(PeekType(frame).ok());
   EXPECT_EQ(*PeekType(frame), MsgType::kAssignIdentity);
-  auto back = DecodeAssignIdentity(frame);
+  auto back = Decode<AssignIdentityMsg>(frame);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->variant_id, "s2.v1");
   EXPECT_EQ(back->variant_key, msg.variant_key);
@@ -150,7 +150,7 @@ TEST(MessagesTest, InferRoundTrip) {
   msg.slots = {0, 2};
   msg.inputs.push_back(Tensor::RandomUniform(Shape({1, 3, 4, 4}), rng));
   msg.inputs.push_back(Tensor::RandomUniform(Shape({2, 2}), rng));
-  auto back = DecodeInfer(EncodeInfer(msg));
+  auto back = Decode<InferMsg>(Encode(msg));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->batch_id, 77u);
   EXPECT_EQ(back->slots, msg.slots);
@@ -164,7 +164,7 @@ TEST(MessagesTest, SetupRoutesRoundTrip) {
   msg.upstream = {{42}, {43}};
   msg.downstream.push_back({44, {{0, 1}, {2, 0}}});
   msg.report_to_monitor = false;
-  auto back = DecodeSetupRoutes(EncodeSetupRoutes(msg));
+  auto back = Decode<SetupRoutesMsg>(Encode(msg));
   ASSERT_TRUE(back.ok());
   ASSERT_EQ(back->upstream.size(), 2u);
   EXPECT_EQ(back->upstream[0].pipe_id, 42u);
@@ -180,7 +180,7 @@ TEST(MessagesTest, StageDataRoundTrip) {
   util::Rng rng(2);
   msg.slots = {1};
   msg.tensors.push_back(Tensor::RandomUniform(Shape({4}), rng));
-  auto back = DecodeStageData(EncodeStageData(msg));
+  auto back = Decode<StageDataMsg>(Encode(msg));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->batch_id, 9u);
   EXPECT_EQ(back->slots, msg.slots);
@@ -192,7 +192,7 @@ TEST(MessagesTest, InferResultWithError) {
   msg.batch_id = 3;
   msg.ok = false;
   msg.error = "ABORTED: simulated crash";
-  auto back = DecodeInferResult(EncodeInferResult(msg));
+  auto back = Decode<InferResultMsg>(Encode(msg));
   ASSERT_TRUE(back.ok());
   EXPECT_FALSE(back->ok);
   EXPECT_EQ(back->error, msg.error);
@@ -203,9 +203,9 @@ TEST(MessagesTest, MalformedFramesRejected) {
   EXPECT_FALSE(PeekType({}).ok());
   util::Bytes junk = {0x99};
   EXPECT_FALSE(PeekType(junk).ok());
-  util::Bytes truncated = EncodeInfer(InferMsg{});
+  util::Bytes truncated = Encode(InferMsg{});
   truncated.resize(3);
-  EXPECT_FALSE(DecodeInfer(truncated).ok());
+  EXPECT_FALSE(Decode<InferMsg>(truncated).ok());
 }
 
 // ------------------------------------------------- offline tool + system
@@ -240,7 +240,7 @@ TEST(OfflineToolTest, ProducesCompleteBundle) {
   auto bundle = RunOfflineTool(model, SmallOffline());
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   EXPECT_EQ(bundle->num_stages, 3);
-  EXPECT_EQ(bundle->num_model_inputs, 1);
+  EXPECT_EQ(bundle->model_input_shapes.size(), 1u);
   EXPECT_EQ(bundle->variants.size(), 9u);  // 3 stages x 3 variants
   // Store holds 3 encrypted files per variant.
   EXPECT_EQ(bundle->store->size(), 27u);

@@ -58,7 +58,7 @@ TEST(BundleConfigTest, SerializeRoundTrip) {
   auto back = OfflineBundle::DeserializeConfig(config);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->num_stages, bundle.num_stages);
-  EXPECT_EQ(back->num_model_inputs, bundle.num_model_inputs);
+  EXPECT_EQ(back->model_input_shapes, bundle.model_input_shapes);
   ASSERT_EQ(back->variants.size(), bundle.variants.size());
   for (size_t i = 0; i < bundle.variants.size(); ++i) {
     EXPECT_EQ(back->variants[i].variant_id, bundle.variants[i].variant_id);
@@ -266,7 +266,7 @@ TEST(MessagesTest, ProvisionRoundTrip) {
   msg.nonce = util::Bytes(32, 0x42);
   msg.bundle_config = util::ToBytes("config-bytes");
   msg.stage_variant_ids = {{"s0.v0", "s0.v1"}, {"s1.v2"}};
-  auto back = DecodeProvision(EncodeProvision(msg));
+  auto back = Decode<ProvisionMsg>(Encode(msg));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->nonce, msg.nonce);
   EXPECT_EQ(back->bundle_config, msg.bundle_config);
@@ -278,7 +278,7 @@ TEST(MessagesTest, ProvisionResultRoundTrip) {
   msg.nonce = util::Bytes(32, 0x43);
   msg.ok = true;
   msg.bound_variant_ids = {"s0.v0", "s1.v0"};
-  auto back = DecodeProvisionResult(EncodeProvisionResult(msg));
+  auto back = Decode<ProvisionResultMsg>(Encode(msg));
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->ok);
   EXPECT_EQ(back->nonce, msg.nonce);
@@ -288,14 +288,14 @@ TEST(MessagesTest, ProvisionResultRoundTrip) {
 TEST(MessagesTest, AttestRoundTrips) {
   AttestQueryMsg q;
   q.nonce = util::Bytes(16, 0x01);
-  auto back_q = DecodeAttestQuery(EncodeAttestQuery(q));
+  auto back_q = Decode<AttestQueryMsg>(Encode(q));
   ASSERT_TRUE(back_q.ok());
   EXPECT_EQ(back_q->nonce, q.nonce);
 
   AttestReplyMsg r;
   r.nonce = q.nonce;
   r.variant_reports = {util::Bytes(10, 2), util::Bytes(20, 3)};
-  auto back_r = DecodeAttestReply(EncodeAttestReply(r));
+  auto back_r = Decode<AttestReplyMsg>(Encode(r));
   ASSERT_TRUE(back_r.ok());
   EXPECT_EQ(back_r->variant_reports, r.variant_reports);
 }

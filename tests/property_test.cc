@@ -8,6 +8,8 @@
 #include <limits>
 #include <string>
 #include <tuple>
+#include <type_traits>
+#include <vector>
 
 #include "core/consistency.h"
 #include "core/messages.h"
@@ -21,6 +23,7 @@
 #include "runtime/pack_cache.h"
 #include "util/cpu_features.h"
 #include "tee/enclave.h"
+#include "transport/channel.h"
 #include "variant/spec.h"
 
 namespace mvtee {
@@ -195,42 +198,280 @@ TEST(TransformComposition, RandomOrdersStayEquivalent) {
   }
 }
 
-// ------------------------------------------------- decoder fuzz (truncation)
+// ------------------------------------------- decoder fuzz (every message)
+//
+// Deterministic mutation fuzz over every wire message type. Each valid
+// frame is truncated, bit-flipped, has every 4-byte window inflated,
+// and is decoded under all 256 tags by every type's decoder. Every call
+// must return a status; a mutated frame that decodes must re-encode to
+// a fixed point of decode + encode.
 
-template <typename Decoder>
-void TruncationNeverCrashes(const util::Bytes& frame, Decoder decode) {
-  // Every prefix must be rejected cleanly (the full frame is valid).
-  for (size_t cut = 0; cut < frame.size(); ++cut) {
-    util::Bytes prefix(frame.begin(), frame.begin() + static_cast<long>(cut));
-    auto result = decode(prefix);
-    EXPECT_FALSE(result.ok()) << "cut " << cut;
+template <template <class...> class List>
+using WireMessages =
+    List<core::AssignIdentityMsg, core::IdentityAckMsg, core::InferMsg,
+         core::InferResultMsg, core::ShutdownMsg, core::SetupRoutesMsg,
+         core::RoutesAckMsg, core::StageDataMsg, core::ProvisionMsg,
+         core::ProvisionResultMsg, core::AttestQueryMsg,
+         core::AttestReplyMsg, core::SessionSubmitMsg,
+         core::SessionReplyMsg>;
+
+template <class... Ms>
+struct TypeList {};
+
+// Calls f(std::type_identity<M>{}) for every wire message type M.
+template <class F, class... Ms>
+void ForEachMessage(TypeList<Ms...>, F&& f) {
+  (f(std::type_identity<Ms>{}), ...);
+}
+
+Tensor FuzzTensor(Shape shape, uint64_t seed) {
+  util::Rng rng(seed);
+  return Tensor::RandomUniform(std::move(shape), rng);
+}
+
+// One valid message of type M that sets every field of M.
+template <class M>
+M SampleMessage();
+
+template <>
+core::AssignIdentityMsg SampleMessage() {
+  return {.variant_id = "v0", .variant_key = util::Bytes(32, 1)};
+}
+template <>
+core::IdentityAckMsg SampleMessage() {
+  core::IdentityAckMsg m{.variant_id = "v0", .ok = true, .error = "e"};
+  m.manifest_hash.fill(7);
+  return m;
+}
+template <>
+core::InferMsg SampleMessage() {
+  return {.batch_id = 5,
+          .vtime_us = 9,
+          .slots = {0, 1},
+          .inputs = {FuzzTensor(Shape({2, 3}), 1), FuzzTensor(Shape({4}), 2)}};
+}
+template <>
+core::InferResultMsg SampleMessage() {
+  return {.batch_id = 5,
+          .vtime_us = 9,
+          .ok = true,
+          .outputs = {FuzzTensor(Shape({3, 3}), 3)},
+          .error = "partial"};
+}
+template <>
+core::ShutdownMsg SampleMessage() {
+  return {};
+}
+template <>
+core::SetupRoutesMsg SampleMessage() {
+  return {.upstream = {{.pipe_id = 5}},
+          .downstream = {{.pipe_id = 6, .output_to_slot = {{0, 1}, {1, 0}}}},
+          .report_to_monitor = false};
+}
+template <>
+core::RoutesAckMsg SampleMessage() {
+  return {.ok = false, .error = "nope"};
+}
+template <>
+core::StageDataMsg SampleMessage() {
+  return {.batch_id = 3,
+          .vtime_us = 4,
+          .slots = {2},
+          .tensors = {FuzzTensor(Shape({5}), 4)}};
+}
+template <>
+core::ProvisionMsg SampleMessage() {
+  return {.nonce = util::Bytes(16, 2),
+          .bundle_config = util::Bytes(20, 3),
+          .stage_variant_ids = {{"a", "bb"}, {"ccc"}}};
+}
+template <>
+core::ProvisionResultMsg SampleMessage() {
+  return {.nonce = util::Bytes(16, 2),
+          .ok = true,
+          .error = "late",
+          .bound_variant_ids = {"a", "bb"}};
+}
+template <>
+core::AttestQueryMsg SampleMessage() {
+  return {.nonce = util::Bytes(24, 4)};
+}
+template <>
+core::AttestReplyMsg SampleMessage() {
+  return {.nonce = util::Bytes(24, 4),
+          .variant_reports = {util::Bytes(20, 5), util::Bytes(21, 6)}};
+}
+template <>
+core::SessionSubmitMsg SampleMessage() {
+  return {.seq = 21,
+          .deadline_us = -5,
+          .tenant = "t",
+          .priority = -2,
+          .model = "m",
+          .inputs = {FuzzTensor(Shape({2, 2}), 5)}};
+}
+template <>
+core::SessionReplyMsg SampleMessage() {
+  return {.seq = 21,
+          .code = 3,
+          .latency_us = 250,
+          .error = "x",
+          .outputs = {FuzzTensor(Shape({3}), 6)}};
+}
+
+template <class M>
+void ExpectFixedPoint(const util::Result<M>& decoded) {
+  if (!decoded.ok()) {
+    EXPECT_EQ(decoded.status().code(), util::StatusCode::kInvalidArgument);
+    return;
   }
-  EXPECT_TRUE(decode(frame).ok());
+  const util::Bytes canonical = core::Encode(*decoded);
+  const auto again = core::Decode<M>(canonical);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(core::Encode(*again), canonical);
 }
 
-TEST(DecoderFuzz, InferMsgTruncation) {
-  core::InferMsg msg;
-  msg.batch_id = 5;
-  msg.vtime_us = 9;
-  msg.slots = {0, 1};
-  util::Rng rng(1);
-  msg.inputs.push_back(Tensor::RandomUniform(Shape({2, 3}), rng));
-  msg.inputs.push_back(Tensor::RandomUniform(Shape({4}), rng));
-  TruncationNeverCrashes(core::EncodeInfer(msg), [](util::ByteSpan f) {
-    return core::DecodeInfer(f);
-  });
+// Decodes `bytes` as M into owned tensors and, from a pinned copy, into
+// views; runs the untyped parsers on the same bytes.
+template <class M>
+void FuzzDecode(util::ByteSpan bytes) {
+  (void)core::PeekType(bytes);
+  (void)core::DecodeTraceContext(bytes);
+  ExpectFixedPoint(core::Decode<M>(bytes));
+  ExpectFixedPoint(core::Decode<M>(
+      transport::InFrame::Adopt(util::Bytes(bytes.begin(), bytes.end()))));
 }
 
-TEST(DecoderFuzz, InferResultTruncation) {
-  core::InferResultMsg msg;
-  msg.batch_id = 5;
-  msg.ok = true;
-  util::Rng rng(2);
-  msg.outputs.push_back(Tensor::RandomUniform(Shape({3, 3}), rng));
-  TruncationNeverCrashes(core::EncodeInferResult(msg),
-                         [](util::ByteSpan f) {
-                           return core::DecodeInferResult(f);
-                         });
+template <class M>
+class MessageDecoderFuzz : public ::testing::Test {
+ protected:
+  const util::Bytes frame_ = core::Encode(SampleMessage<M>());
+};
+
+TYPED_TEST_SUITE(MessageDecoderFuzz, WireMessages<::testing::Types>);
+
+TYPED_TEST(MessageDecoderFuzz, Truncation) {
+  const util::Bytes& frame = this->frame_;
+  ASSERT_TRUE(core::Decode<TypeParam>(frame).ok());
+  // Every field's length follows from the bytes before it, so no strict
+  // prefix of a frame is a frame.
+  for (size_t cut = 0; cut < frame.size(); ++cut) {
+    const util::ByteSpan prefix(frame.data(), cut);
+    EXPECT_FALSE(core::Decode<TypeParam>(prefix).ok()) << "cut " << cut;
+    FuzzDecode<TypeParam>(prefix);
+  }
+}
+
+TYPED_TEST(MessageDecoderFuzz, Corruption) {
+  const util::Bytes& frame = this->frame_;
+  util::Rng rng(static_cast<uint64_t>(TypeParam::kType));
+  for (int i = 0; i < 256; ++i) {
+    util::Bytes flipped = frame;
+    const uint64_t bit = rng.UniformU64(frame.size() * 8);
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    FuzzDecode<TypeParam>(flipped);
+  }
+  // Inflated counts and lengths: each big-endian 4-byte window becomes
+  // 0xFFFFFFFF, 0x80000000 and its own value + 1.
+  for (size_t pos = 0; pos + 4 <= frame.size(); ++pos) {
+    uint32_t own = 0;
+    for (size_t i = 0; i < 4; ++i) own = own << 8 | frame[pos + i];
+    for (uint32_t value : {0xFFFFFFFFu, 0x80000000u, own + 1}) {
+      util::Bytes inflated = frame;
+      for (size_t i = 0; i < 4; ++i) {
+        inflated[pos + i] = static_cast<uint8_t>(value >> (24 - 8 * i));
+      }
+      FuzzDecode<TypeParam>(inflated);
+    }
+  }
+}
+
+TYPED_TEST(MessageDecoderFuzz, TypeConfusion) {
+  util::Bytes frame = this->frame_;
+  const auto own_tag = static_cast<uint8_t>(TypeParam::kType);
+  for (int tag = 0; tag < 256; ++tag) {
+    frame[0] = static_cast<uint8_t>(tag);
+    ForEachMessage(WireMessages<TypeList>{}, [&](auto type) {
+      using N = typename decltype(type)::type;
+      if (tag == own_tag) {
+        // Only the frame's own decoder accepts it.
+        EXPECT_EQ(core::Decode<N>(frame).ok(), (std::is_same_v<N, TypeParam>))
+            << "decoded as tag " << static_cast<int>(N::kType);
+      }
+      FuzzDecode<N>(frame);
+    });
+  }
+}
+
+// A one-tensor container whose tensor bytes `tensor` follow `pad` pad
+// bytes.
+void AppendOneTensor(util::Bytes& out, uint8_t pad, const util::Bytes& tensor) {
+  util::AppendU32(out, 1);
+  util::AppendU8(out, pad);
+  out.resize(out.size() + pad);
+  util::AppendU32(out, static_cast<uint32_t>(tensor.size()));
+  util::AppendBytes(out, tensor);
+}
+
+// A tensor header with no payload: magic, rank, dims, count.
+util::Bytes TensorHeader(const std::vector<uint64_t>& dims, uint64_t count) {
+  util::Bytes out;
+  util::AppendU32(out, 0x4d565431);
+  util::AppendU32(out, static_cast<uint32_t>(dims.size()));
+  for (uint64_t d : dims) util::AppendU64(out, d);
+  util::AppendU64(out, count);
+  return out;
+}
+
+template <class M>
+void ExpectRejected(const util::Bytes& frame) {
+  EXPECT_EQ(core::Decode<M>(frame).status().code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(core::Decode<M>(transport::InFrame::Adopt(frame)).status().code(),
+            util::StatusCode::kInvalidArgument);
+  FuzzDecode<M>(frame);
+}
+
+TEST(DecoderFuzz, WrappingTensorHeadersInFrames) {
+  // InferResult and SessionSubmit frames laid out by hand around one
+  // tensor, so its pad can be aligned (1 and 2 bytes respectively) or
+  // not.
+  const auto infer_result = [](uint8_t pad, const util::Bytes& tensor) {
+    util::Bytes f = {static_cast<uint8_t>(core::MsgType::kInferResult)};
+    util::AppendU64(f, 1);  // batch_id
+    util::AppendU64(f, 2);  // vtime_us
+    util::AppendU8(f, 1);   // ok
+    AppendOneTensor(f, pad, tensor);
+    util::AppendU32(f, 0);  // error
+    return f;
+  };
+  const auto session_submit = [](uint8_t pad, const util::Bytes& tensor) {
+    util::Bytes f = {static_cast<uint8_t>(core::MsgType::kSessionSubmit)};
+    util::AppendU64(f, 1);  // seq
+    util::AppendU64(f, 0);  // deadline_us
+    util::AppendU32(f, 0);  // priority
+    util::AppendU32(f, 0);  // tenant
+    util::AppendU32(f, 0);  // model
+    AppendOneTensor(f, pad, tensor);
+    return f;
+  };
+  // 2^62 floats are 2^64 ≡ 0 bytes; 2^32 x 2^32 elements overflow
+  // int64_t. Neither header carries a payload.
+  const util::Bytes wrapping[] = {
+      TensorHeader({1ULL << 31, 1ULL << 31}, 1ULL << 62),
+      TensorHeader({1ULL << 32, 1ULL << 32}, 0)};
+  const util::Bytes valid = FuzzTensor(Shape({2}), 7).Serialize();
+  for (uint8_t pad = 0; pad <= 3; ++pad) {
+    // The hand layout holds: a real tensor decodes at every pad.
+    ASSERT_TRUE(
+        core::Decode<core::InferResultMsg>(infer_result(pad, valid)).ok());
+    ASSERT_TRUE(
+        core::Decode<core::SessionSubmitMsg>(session_submit(pad, valid)).ok());
+    for (const util::Bytes& header : wrapping) {
+      ExpectRejected<core::InferResultMsg>(infer_result(pad, header));
+      ExpectRejected<core::SessionSubmitMsg>(session_submit(pad, header));
+    }
+  }
 }
 
 TEST(DecoderFuzz, GraphTruncation) {

@@ -25,6 +25,7 @@
 #include "core/variant_host.h"
 #include "crypto/gcm_tiers.h"
 #include "graph/builder.h"
+#include "graph/model_zoo.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
@@ -862,6 +863,59 @@ TEST_F(ServiceTest, SchedulerRoutesModelsAndRejectsUnknown) {
   host2.JoinAll();
 }
 
+TEST(AdmissionShapeTest, MisshapedRequestFailsAloneAmongOthersInFlight) {
+  // One variant per stage: had the misshaped input reached the stage-0
+  // executor, its rejection would abort the serving stream and fail
+  // every request in flight with it.
+  graph::ZooConfig zoo;
+  zoo.input_hw = 32;
+  zoo.width_mult = 0.25;
+  zoo.depth_mult = 0.34;
+  OfflineOptions opts = SmallOffline(/*partitions=*/3, /*variants=*/1);
+  opts.pool.verify = false;
+  auto bundle = RunOfflineTool(
+      graph::BuildModel(graph::ModelKind::kResNet50, zoo), opts);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  tee::SimulatedCpu cpu{tee::SimulatedCpu::Options{.hardware_key_seed = 3}};
+  VariantHost host(&cpu, bundle->store);
+  auto monitor = Monitor::Create(&cpu, MonitorConfig{});
+  ASSERT_TRUE(monitor.ok());
+  ASSERT_TRUE((*monitor)
+                  ->Initialize(*bundle, MvxSelection::Uniform(*bundle, 1),
+                               host)
+                  .ok());
+  ASSERT_TRUE((*monitor)->StartService().ok());
+  auto good = (*monitor)->OpenSession();
+  auto bad = (*monitor)->OpenSession();
+  ASSERT_TRUE(good.ok() && bad.ok());
+
+  util::Rng rng(4);
+  auto request = [&rng](Shape shape) {
+    InferenceRequest r;
+    r.inputs = {Tensor::RandomUniform(std::move(shape), rng)};
+    return r;
+  };
+  std::vector<std::future<InferenceResponse>> futures;
+  std::optional<std::future<InferenceResponse>> misshaped;
+  for (int i = 0; i < 8; ++i) {
+    if (i == 4) {
+      auto f = (*bad)->Submit(request(Shape({1, 3, 16, 16})));
+      ASSERT_TRUE(f.ok()) << f.status().ToString();
+      misshaped = std::move(*f);
+    }
+    auto f = (*good)->Submit(request(Shape({1, 3, 32, 32})));
+    ASSERT_TRUE(f.ok()) << f.status().ToString();
+    futures.push_back(std::move(*f));
+  }
+  EXPECT_EQ(misshaped->get().status.code(), StatusCode::kInvalidArgument);
+  for (auto& f : futures) {
+    const InferenceResponse response = f.get();
+    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+  }
+  ASSERT_TRUE((*monitor)->Shutdown().ok());
+  host.JoinAll();
+}
+
 // ------------------------------------------------- wire-format basics
 
 TEST(SessionMessagesTest, SubmitRoundTrip) {
@@ -869,12 +923,12 @@ TEST(SessionMessagesTest, SubmitRoundTrip) {
   msg.seq = 42;
   msg.deadline_us = 1'000'000;
   msg.inputs = {TestInput()};
-  util::Bytes frame = core::EncodeSessionSubmit(msg);
+  util::Bytes frame = core::Encode(msg);
   EXPECT_EQ(frame.size(), core::EncodedSize(msg));
   auto type = core::PeekType(frame);
   ASSERT_TRUE(type.ok());
   EXPECT_EQ(*type, core::MsgType::kSessionSubmit);
-  auto decoded = core::DecodeSessionSubmit(frame);
+  auto decoded = core::Decode<core::SessionSubmitMsg>(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->seq, 42u);
   EXPECT_EQ(decoded->deadline_us, 1'000'000);
@@ -893,9 +947,9 @@ TEST(SessionMessagesTest, SubmitRoundTripCarriesSchedulingHints) {
   msg.tenant = "tenant-a";
   msg.model = "resnet18";
   msg.inputs = {TestInput()};
-  util::Bytes frame = core::EncodeSessionSubmit(msg);
+  util::Bytes frame = core::Encode(msg);
   EXPECT_EQ(frame.size(), core::EncodedSize(msg));
-  auto decoded = core::DecodeSessionSubmit(frame);
+  auto decoded = core::Decode<core::SessionSubmitMsg>(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->seq, 9u);
   EXPECT_EQ(decoded->deadline_us, -250);
@@ -911,9 +965,9 @@ TEST(SessionMessagesTest, ReplyRoundTripCarriesTaxonomyCode) {
   msg.code = static_cast<uint8_t>(StatusCode::kAdmissionRejected);
   msg.error = "admission queue full";
   msg.latency_us = 1234;
-  util::Bytes frame = core::EncodeSessionReply(msg);
+  util::Bytes frame = core::Encode(msg);
   EXPECT_EQ(frame.size(), core::EncodedSize(msg));
-  auto decoded = core::DecodeSessionReply(frame);
+  auto decoded = core::Decode<core::SessionReplyMsg>(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->seq, 7u);
   EXPECT_EQ(static_cast<StatusCode>(decoded->code),

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
@@ -281,6 +282,80 @@ TEST_F(VirtualTimeTest, AsyncLateDivergenceDetected) {
     auto expected = ReferenceRun(model_, batches[b]);
     EXPECT_GT(tensor::CosineSimilarity((*out)[b][0], expected[0]), 0.999);
   }
+}
+
+TEST_F(VirtualTimeTest, ServedAsyncStragglersAreCountedUnchecked) {
+  // The slow panel member reports after the healthy quorum completed a
+  // batch. A serving stream reclaims a batch once it completes, so the
+  // straggler's report finds no batch state and is dropped without a
+  // cross-check; monitor.unchecked_reports counts those drops.
+  model_ = graph::BuildModel(graph::ModelKind::kResNet50, SmallZoo());
+  auto opts = Offline(3, 2, /*replicated=*/false);
+  opts.pool.include_slow_variant = true;
+  opts.pool.slow_variant_factor = 6.0;
+  auto bundle = RunOfflineTool(model_, opts);
+  ASSERT_TRUE(bundle.ok());
+  bundle_ = std::move(*bundle);
+
+  // Holds the slow variant until the first request was answered, so its
+  // first report certainly arrives after that batch completed. The
+  // bounded wait only frees the variant if the test fails first.
+  class Gate : public runtime::FaultHook {
+   public:
+    util::Status OnNodeStart(const graph::Node&) override {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait_for(lock, std::chrono::seconds(30), [this] { return open_; });
+      return util::OkStatus();
+    }
+    void Open() {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+      cv_.notify_all();
+    }
+
+   private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool open_ = false;
+  };
+  auto gate = std::make_shared<Gate>();
+  host_ = std::make_unique<VariantHost>(&cpu_, bundle_.store);
+  host_->SetFaultHook("s1.v2", gate);  // the slow variant
+
+  MonitorConfig config;
+  config.mode = ExecMode::kAsync;
+  config.check = CheckPolicy::Cosine(0.99);
+  config.vote = VotePolicy::kMajority;
+  config.reaction = ReactionPolicy::ContinueWithWinner();
+  auto monitor = Monitor::Create(&cpu_, config);
+  ASSERT_TRUE(monitor.ok());
+  monitor_ = std::move(*monitor);
+  ASSERT_TRUE(monitor_
+                  ->Initialize(bundle_,
+                               MvxSelection::PerStage(bundle_, {1, 3, 1}),
+                               *host_)
+                  .ok());
+  ASSERT_TRUE(monitor_->StartService().ok());
+  const obs::Counter& unchecked =
+      monitor_->metrics().GetCounter("monitor.unchecked_reports");
+  const uint64_t before = unchecked.value();
+
+  auto session = monitor_->OpenSession();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  // One request at a time. A report that lands between requests is read
+  // by the next request's serving stream, so serve until one is counted.
+  auto batches = MakeBatches(64);
+  for (size_t i = 0; i < batches.size() && unchecked.value() == before;
+       ++i) {
+    InferenceRequest request;
+    request.inputs = batches[i];
+    auto future = (*session)->Submit(std::move(request));
+    ASSERT_TRUE(future.ok()) << future.status().ToString();
+    InferenceResponse response = future->get();
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    gate->Open();
+  }
+  EXPECT_GT(unchecked.value(), before);
 }
 
 TEST_F(VirtualTimeTest, VerifyFastPathCatchesNonFinitePoisoning) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -93,6 +95,16 @@ TEST(TensorTest, DeserializeRejectsCorruption) {
   EXPECT_FALSE(Tensor::Deserialize({}).ok());
 }
 
+// A serialized tensor header with no payload: magic, rank, dims, count.
+util::Bytes TensorHeader(const std::vector<uint64_t>& dims, uint64_t count) {
+  util::Bytes out;
+  util::AppendU32(out, 0x4d565431);
+  util::AppendU32(out, static_cast<uint32_t>(dims.size()));
+  for (uint64_t d : dims) util::AppendU64(out, d);
+  util::AppendU64(out, count);
+  return out;
+}
+
 TEST(TensorTest, DeserializeRejectsCountMismatch) {
   util::Rng rng(7);
   auto t = Tensor::RandomUniform(Shape({2, 2}), rng);
@@ -100,6 +112,18 @@ TEST(TensorTest, DeserializeRejectsCountMismatch) {
   // Flip the element count field (offset: 4 magic + 4 rank + 16 dims).
   bytes[24 + 7] ^= 0x01;
   EXPECT_FALSE(Tensor::Deserialize(bytes).ok());
+
+  // Headers whose sizes wrap: 2^62 floats are 2^64 ≡ 0 bytes, and
+  // 2^32 x 2^32 elements overflow int64_t.
+  const auto keepalive = std::make_shared<int>(0);
+  for (const util::Bytes& header :
+       {TensorHeader({1ULL << 31, 1ULL << 31}, 1ULL << 62),
+        TensorHeader({1ULL << 32, 1ULL << 32}, 0)}) {
+    EXPECT_EQ(Tensor::Deserialize(header).status().code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(Tensor::DeserializeView(header, keepalive).status().code(),
+              util::StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(MetricsTest, CosineSimilarityIdentical) {
