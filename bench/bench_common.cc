@@ -104,17 +104,14 @@ util::Result<Outcome> RunMvtee(
   }
   MVTEE_RETURN_IF_ERROR(monitor->Initialize(bundle, selection, host));
 
-  // Warm-up batch.
-  MVTEE_RETURN_IF_ERROR(monitor->Run({batches[0]}).status());
+  // Warm-up batch, consumed so it never pollutes the measured run.
+  MVTEE_RETURN_IF_ERROR(core::RunBatches(*monitor, {batches[0]}).status());
+  (void)monitor->ConsumeStats();
 
-  // The per-call stats handle carries exactly this run's numbers; the
-  // warm-up above never pollutes them.
   Outcome outcome;
   MVTEE_RETURN_IF_ERROR(
-      monitor
-          ->Run(batches, core::RunOptions{.pipelined = pipelined,
-                                          .stats = &outcome.stats})
-          .status());
+      core::RunBatches(*monitor, batches, pipelined).status());
+  outcome.stats = monitor->ConsumeStats();
   outcome.throughput = outcome.stats.ThroughputPerSec();
   outcome.mean_latency_ms = outcome.stats.MeanLatencyUs() / 1000.0;
 

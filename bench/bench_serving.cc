@@ -1,29 +1,14 @@
-// Serving benchmark (DESIGN.md §11, §13): the attested service front
-// end under concurrent sessions, plus the continuous-batching scheduler
-// under open-loop multi-tenant load.
-//
-// Phase 1 — wire sessions: boots a full deployment, opens the RA-TLS
+// Serving benchmark (DESIGN.md §11): the attested service front end
+// under concurrent sessions. Boots a full deployment, opens the RA-TLS
 // front end on a Listener and drives N concurrent client sessions, each
 // submitting encrypted requests back-to-back. Reports per-request
 // latency percentiles (p50/p99, measured client-side around Infer) and
 // goodput (completed requests per wall-clock second across all
 // sessions), plus how many coalesced admission groups served them, and
 // the server-side queue-wait/infer/verify phase breakdown from the live
-// service.*_us histograms.
-//
-// Phase 2 — offered-load sweep: three tenants ("tight" with a short
-// deadline and high priority, "loose" with a long deadline, "batch"
-// with no deadline) submit OPEN LOOP — at a fixed arrival rate,
-// regardless of completions — through in-process sessions. The sweep
-// raises the total offered load through multiples of the measured
-// single-slot capacity and records goodput (ON-TIME completions per
-// second) at each point, once with the continuous scheduler (EDF +
-// batch window + WFQ) and once with the PR 6-style drain barrier
-// (Continuous(false), Edf(false), BatchWindowUs(0)). The knee — peak
-// goodput across the sweep — is the headline number; the bench exits
-// non-zero if the scheduler's knee falls below the barrier baseline's,
-// or if the scheduler misses deadlines at the lowest offered load where
-// the baseline does not.
+// service.*_us histograms. Exits non-zero unless every request succeeds.
+// Scheduler behaviour under open-loop load is measured by perfbench's
+// `openloop` workload.
 //
 // Introspection plane: the bench starts an AdminServer next to the
 // service; with MVTEE_ADMIN_PORT set it serves /healthz /metrics
@@ -43,11 +28,9 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/scheduler.h"
 #include "service/admin.h"
 #include "service/inference_service.h"
 #include "transport/channel.h"
@@ -59,14 +42,6 @@ namespace {
 
 constexpr int kSessions = 8;
 constexpr int kRequestsPerSession = 6;
-
-// Offered-load sweep shape: three tenants, open loop, load multiples
-// of the measured single-slot capacity.
-constexpr int kTenants = 3;
-constexpr int kRequestsPerTenantPerPoint = 8;
-constexpr double kLoadMultiples[] = {0.5, 1.0, 2.0, 4.0};
-const char* const kTenantNames[kTenants] = {"tight", "loose", "batch"};
-constexpr int32_t kTenantPriority[kTenants] = {2, 1, 0};
 
 struct ServingResult {
   int sessions = 0;
@@ -86,22 +61,6 @@ struct ServingResult {
   double verify_p99_ms = 0.0;
 };
 
-struct SweepPoint {
-  double offered_rps = 0.0;  // total across the three tenants
-  int submitted = 0;
-  int rejected = 0;   // admission rejections (fail-fast at Submit)
-  int completed = 0;  // successful responses
-  int on_time = 0;    // completed within the tenant's deadline
-  int expired = 0;    // kDeadlineExceeded (expired while queued)
-  double goodput_rps = 0.0;  // on-time completions / wall second
-};
-
-struct SweepMode {
-  const char* mode;  // "scheduler" | "baseline"
-  std::vector<SweepPoint> points;
-  double knee_goodput_rps = 0.0;  // peak goodput across the sweep
-};
-
 double PercentileMs(std::vector<int64_t> latencies_us, double q) {
   if (latencies_us.empty()) return 0.0;
   std::sort(latencies_us.begin(), latencies_us.end());
@@ -111,149 +70,11 @@ double PercentileMs(std::vector<int64_t> latencies_us, double q) {
   return static_cast<double>(latencies_us[idx]) / 1000.0;
 }
 
-// One offered-load point: three tenant threads, each with its own
-// session, submitting open loop at offered_rps/3 and classifying every
-// response against its own deadline.
-SweepPoint RunSweepPoint(core::Monitor& monitor,
-                         const std::vector<tensor::Tensor>& inputs,
-                         double offered_rps, int64_t tight_deadline_us,
-                         int64_t loose_deadline_us) {
-  const int64_t deadlines[kTenants] = {tight_deadline_us, loose_deadline_us,
-                                       0};
-  struct TenantRun {
-    SweepPoint counts;
-    int64_t done_us = 0;
-  };
-  std::vector<TenantRun> runs(kTenants);
-  const int64_t interval_us =
-      static_cast<int64_t>(static_cast<double>(kTenants) * 1e6 / offered_rps);
-  const int64_t t0 = util::NowMicros();
-  std::vector<std::thread> threads;
-  threads.reserve(kTenants);
-  for (int t = 0; t < kTenants; ++t) {
-    threads.emplace_back([&, t] {
-      auto session = monitor.OpenSession();
-      if (!session.ok()) return;
-      std::vector<std::future<core::InferenceResponse>> futures;
-      futures.reserve(kRequestsPerTenantPerPoint);
-      for (int r = 0; r < kRequestsPerTenantPerPoint; ++r) {
-        // Open loop: the next arrival is scheduled on the wall clock,
-        // not on the previous completion. Tenants are phase-staggered
-        // by a third of the interval.
-        const int64_t due =
-            t0 + r * interval_us + (t * interval_us) / kTenants;
-        const int64_t now = util::NowMicros();
-        if (now < due) {
-          std::this_thread::sleep_for(std::chrono::microseconds(due - now));
-        }
-        core::InferenceRequest request;
-        request.inputs = {inputs[static_cast<size_t>(r) % inputs.size()]};
-        request.tenant = kTenantNames[t];
-        request.priority = kTenantPriority[t];
-        request.deadline_us = deadlines[t];
-        runs[t].counts.submitted++;
-        auto submitted = (*session)->Submit(std::move(request));
-        if (!submitted.ok()) {
-          runs[t].counts.rejected++;
-          continue;
-        }
-        futures.push_back(std::move(*submitted));
-      }
-      for (auto& future : futures) {
-        core::InferenceResponse response = future.get();
-        if (response.status.ok()) {
-          runs[t].counts.completed++;
-          if (deadlines[t] == 0 || response.latency_us <= deadlines[t]) {
-            runs[t].counts.on_time++;
-          }
-        } else if (response.status.code() ==
-                   util::StatusCode::kDeadlineExceeded) {
-          runs[t].counts.expired++;
-        }
-      }
-      runs[t].done_us = util::NowMicros();
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  SweepPoint point;
-  point.offered_rps = offered_rps;
-  int64_t last_done = t0;
-  for (const auto& run : runs) {
-    point.submitted += run.counts.submitted;
-    point.rejected += run.counts.rejected;
-    point.completed += run.counts.completed;
-    point.on_time += run.counts.on_time;
-    point.expired += run.counts.expired;
-    last_done = std::max(last_done, run.done_us);
-  }
-  const int64_t wall_us = last_done - t0;
-  point.goodput_rps = wall_us > 0 ? static_cast<double>(point.on_time) * 1e6 /
-                                        static_cast<double>(wall_us)
-                                  : 0.0;
-  return point;
-}
-
-SweepMode RunSweep(core::Monitor& monitor, const char* mode,
-                   const core::SchedulerConfig& sched,
-                   const std::vector<tensor::Tensor>& inputs,
-                   double capacity_rps, int64_t tight_deadline_us,
-                   int64_t loose_deadline_us) {
-  monitor.StopService();
-  core::ServiceConfig config;
-  config.scheduler = sched;
-  MVTEE_CHECK(monitor.StartService(config).ok());
-
-  SweepMode result;
-  result.mode = mode;
-  for (double multiple : kLoadMultiples) {
-    SweepPoint point = RunSweepPoint(monitor, inputs, capacity_rps * multiple,
-                                     tight_deadline_us, loose_deadline_us);
-    result.knee_goodput_rps =
-        std::max(result.knee_goodput_rps, point.goodput_rps);
-    std::printf(
-        "  [%s] offered %7.1f req/s -> goodput %7.1f req/s "
-        "(%d submitted, %d on-time, %d late, %d expired, %d rejected)\n",
-        mode, point.offered_rps, point.goodput_rps, point.submitted,
-        point.on_time, point.completed - point.on_time, point.expired,
-        point.rejected);
-    result.points.push_back(point);
-  }
-  return result;
-}
-
-void AppendSweepJson(std::string* out, const SweepMode& mode) {
-  char buf[256];
-  *out += "    {\n      \"mode\": \"";
-  *out += mode.mode;
-  std::snprintf(buf, sizeof(buf), "\",\n      \"knee_goodput_rps\": %.2f,\n",
-                mode.knee_goodput_rps);
-  *out += buf;
-  *out += "      \"points\": [\n";
-  for (size_t i = 0; i < mode.points.size(); ++i) {
-    const SweepPoint& p = mode.points[i];
-    std::snprintf(buf, sizeof(buf),
-                  "        {\"offered_rps\": %.2f, \"goodput_rps\": %.2f, "
-                  "\"submitted\": %d, \"on_time\": %d, \"completed\": %d, "
-                  "\"expired\": %d, \"rejected\": %d}%s\n",
-                  p.offered_rps, p.goodput_rps, p.submitted, p.on_time,
-                  p.completed, p.expired, p.rejected,
-                  i + 1 < mode.points.size() ? "," : "");
-    *out += buf;
-  }
-  *out += "      ]\n    }";
-}
-
-void WriteJson(const ServingResult& r, const SweepMode& scheduler,
-               const SweepMode& baseline, double capacity_rps) {
+void WriteJson(const ServingResult& r) {
   const char* path = util::KnobRegistry::Default().Raw("MVTEE_BENCH_JSON");
   if (path == nullptr || path[0] == '\0') path = "BENCH_serving.json";
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) return;
-  std::string sweep;
-  AppendSweepJson(&sweep, scheduler);
-  sweep += ",\n";
-  AppendSweepJson(&sweep, baseline);
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"serving\",\n"
@@ -270,26 +91,14 @@ void WriteJson(const ServingResult& r, const SweepMode& scheduler,
                "  \"infer_p50_ms\": %.2f,\n"
                "  \"infer_p99_ms\": %.2f,\n"
                "  \"verify_p50_ms\": %.2f,\n"
-               "  \"verify_p99_ms\": %.2f,\n"
-               "  \"sweep\": {\n"
-               "    \"tenants\": %d,\n"
-               "    \"requests_per_tenant_per_point\": %d,\n"
-               "    \"capacity_est_rps\": %.2f,\n"
-               "    \"knee_ratio\": %.3f\n"
-               "  },\n"
-               "  \"sweep_modes\": [\n%s\n  ]\n"
+               "  \"verify_p99_ms\": %.2f\n"
                "}\n",
                r.sessions, r.requests_total, r.requests_ok, r.p50_ms,
                r.p99_ms, r.goodput_rps,
                static_cast<unsigned long long>(r.admission_groups),
                static_cast<unsigned long long>(r.rejected),
                r.queue_wait_p50_ms, r.queue_wait_p99_ms, r.infer_p50_ms,
-               r.infer_p99_ms, r.verify_p50_ms, r.verify_p99_ms, kTenants,
-               kRequestsPerTenantPerPoint, capacity_rps,
-               baseline.knee_goodput_rps > 0
-                   ? scheduler.knee_goodput_rps / baseline.knee_goodput_rps
-                   : 0.0,
-               sweep.c_str());
+               r.infer_p99_ms, r.verify_p50_ms, r.verify_p99_ms);
   std::fclose(f);
   std::printf("json summary: %s\n", path);
 }
@@ -428,79 +237,13 @@ int Main() {
       result.queue_wait_p50_ms, result.queue_wait_p99_ms, result.infer_p50_ms,
       result.infer_p99_ms, result.verify_p50_ms, result.verify_p99_ms);
 
-  // ---- Phase 2: open-loop 3-tenant offered-load sweep.
-  std::printf("\n=== serving: open-loop multi-tenant offered-load sweep "
-              "===\n");
-  // Capacity calibration: the wire phase's median end-to-end latency is
-  // an honest single-slot service-time estimate; with max_batch pipeline
-  // slots the deployment's aggregate capacity is several times that.
-  const double median_ms = result.p50_ms > 0.01 ? result.p50_ms : 10.0;
-  const double capacity_rps = 2.0 * 1e3 / median_ms;
-  const int64_t tight_deadline_us =
-      static_cast<int64_t>(5.0 * median_ms * 1000.0);
-  const int64_t loose_deadline_us =
-      static_cast<int64_t>(25.0 * median_ms * 1000.0);
-  std::printf("capacity estimate %.1f req/s | tight deadline %.1f ms | "
-              "loose deadline %.1f ms\n",
-              capacity_rps, tight_deadline_us / 1000.0,
-              loose_deadline_us / 1000.0);
-
-  std::vector<tensor::Tensor> sweep_inputs;
-  {
-    util::Rng rng(42);
-    for (int i = 0; i < 4; ++i) {
-      sweep_inputs.push_back(tensor::Tensor::RandomUniform(
-          tensor::Shape({1, 3, zoo.input_hw, zoo.input_hw}), rng));
-    }
-  }
-  const core::SchedulerConfig scheduler_cfg =
-      core::SchedulerConfig::FromEnv(core::SchedulerConfig{});
-  const core::SchedulerConfig baseline_cfg =
-      core::SchedulerConfig::Builder()
-          .Continuous(false)
-          .Edf(false)
-          .BatchWindowUs(0)
-          .Build();
-  SweepMode sched_sweep =
-      RunSweep(**monitor, "scheduler", scheduler_cfg, sweep_inputs,
-               capacity_rps, tight_deadline_us, loose_deadline_us);
-  SweepMode base_sweep =
-      RunSweep(**monitor, "baseline", baseline_cfg, sweep_inputs,
-               capacity_rps, tight_deadline_us, loose_deadline_us);
-  std::printf("knee goodput: scheduler %.1f req/s | drain-barrier baseline "
-              "%.1f req/s | ratio %.2fx\n",
-              sched_sweep.knee_goodput_rps, base_sweep.knee_goodput_rps,
-              base_sweep.knee_goodput_rps > 0
-                  ? sched_sweep.knee_goodput_rps / base_sweep.knee_goodput_rps
-                  : 0.0);
-
-  WriteJson(result, sched_sweep, base_sweep, capacity_rps);
+  WriteJson(result);
 
   (*admin)->Stop();
   (void)(*monitor)->Shutdown();
   host.JoinAll();
 
-  bool pass = result.requests_ok == result.requests_total;
-  // Acceptance floor: continuous batching must not lose to the PR 6
-  // drain barrier at saturation (small tolerance for scheduler noise on
-  // loaded CI runners).
-  if (sched_sweep.knee_goodput_rps < 0.95 * base_sweep.knee_goodput_rps) {
-    std::printf("FAIL: scheduler knee goodput %.1f below drain-barrier "
-                "baseline %.1f\n",
-                sched_sweep.knee_goodput_rps, base_sweep.knee_goodput_rps);
-    pass = false;
-  }
-  // Zero deadline-miss regression at low load: at the lowest offered
-  // load the scheduler must not expire requests the baseline served.
-  const SweepPoint& sched_low = sched_sweep.points.front();
-  const SweepPoint& base_low = base_sweep.points.front();
-  if (sched_low.expired > base_low.expired) {
-    std::printf("FAIL: scheduler expired %d requests at low load "
-                "(baseline: %d)\n",
-                sched_low.expired, base_low.expired);
-    pass = false;
-  }
-  return pass ? 0 : 1;
+  return result.requests_ok == result.requests_total ? 0 : 1;
 }
 
 }  // namespace

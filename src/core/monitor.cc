@@ -5,6 +5,7 @@
 #include <deque>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "core/verify_pool.h"
 #include "obs/flight_recorder.h"
@@ -35,25 +36,19 @@ namespace internal {
 // of dangling.
 struct ServiceState {
   struct Item {
-    bool legacy = false;
     uint64_t session_id = 0;
     uint64_t seq = 0;
     // Monotone arrival ticket across all sessions: the scheduler's
     // FIFO reference (what EDF/priority "preempt").
     uint64_t ticket = 0;
-    // One batch for a session submit; the whole vector for a legacy
-    // Run() group.
-    std::vector<std::vector<Tensor>> batches;
-    RunOptions options;          // legacy groups only
-    int64_t deadline_abs_us = 0; // submits only; 0 = unbounded
+    std::vector<Tensor> inputs;
+    int64_t deadline_abs_us = 0;  // 0 = unbounded
     int64_t enqueue_us = 0;
-    // Scheduling metadata (submits only).
+    // Scheduling metadata.
     std::string tenant;
     int32_t priority = 0;
     std::string model;
-    std::promise<InferenceResponse> response;  // submits
-    std::promise<util::Result<std::vector<std::vector<Tensor>>>>
-        group_result;  // legacy groups
+    std::promise<InferenceResponse> response;
   };
 
   struct SessionInfo {
@@ -64,7 +59,6 @@ struct ServiceState {
   std::mutex mu;
   std::condition_variable cv;
   std::deque<Item> queue;
-  size_t queued_submits = 0;  // non-legacy items (the bounded part)
   bool accepting = false;
   size_t queue_max = 64;
   uint64_t next_session_id = 1;
@@ -197,10 +191,10 @@ util::Result<std::future<InferenceResponse>> Session::SubmitSequenced(
           "deadline_us " + std::to_string(request.deadline_us) +
           " already expired at submit (0 = no deadline)");
     }
-    if (st.queued_submits >= st.queue_max) {
+    if (st.queue.size() >= st.queue_max) {
       st.rejected_total->Add(1);
       return util::AdmissionRejected(
-          "admission queue full (" + std::to_string(st.queued_submits) +
+          "admission queue full (" + std::to_string(st.queue.size()) +
           " queued, max " + std::to_string(st.queue_max) + ")");
     }
 
@@ -215,11 +209,10 @@ util::Result<std::future<InferenceResponse>> Session::SubmitSequenced(
     item.tenant = std::move(request.tenant);
     item.priority = request.priority;
     item.model = std::move(request.model);
-    item.batches.push_back(std::move(request.inputs));
+    item.inputs = std::move(request.inputs);
     future = item.response.get_future();
     st.queue.push_back(std::move(item));
-    st.queued_submits += 1;
-    const auto depth = static_cast<int64_t>(st.queued_submits);
+    const auto depth = static_cast<int64_t>(st.queue.size());
     st.queue_depth->Set(depth);
     if (depth > st.queue_depth_hwm->value()) st.queue_depth_hwm->Set(depth);
     st.requests_total->Add(1);
@@ -326,6 +319,7 @@ void Monitor::BindMetrics() {
   m_.divergences = &metrics_->GetCounter("monitor.divergences");
   m_.late_divergences = &metrics_->GetCounter("monitor.late_divergences");
   m_.unchecked_reports = &metrics_->GetCounter("monitor.unchecked_reports");
+  m_.unsampled_batches = &metrics_->GetCounter("monitor.unsampled_batches");
   m_.variant_failures = &metrics_->GetCounter("monitor.variant_failures");
   m_.bytes_sent = &metrics_->GetCounter("monitor.bytes_sent");
   m_.wall_us = &metrics_->GetCounter("monitor.wall_us");
@@ -490,27 +484,26 @@ util::Status Monitor::ConfigureRoutes(VariantHost& host) {
     }
     for (const auto& [p, mapping] : from_stage) {
       const size_t ps = static_cast<size_t>(p);
-      const bool direct =
-          config_.direct_fastpath && !stages_[ps].is_mvx();
+      // Pipes connect single-variant stages only: the monitor feeds
+      // every panel, so it sees (and can bound) each member's inputs.
+      const bool direct = config_.direct_fastpath &&
+                          !stages_[ps].is_mvx() && !stages_[c].is_mvx();
       if (!direct) {
         monitor_forwards_[ps].push_back(
             {static_cast<int32_t>(c), mapping});
         continue;
       }
-      // One pipe from the producer's single variant to every variant of
-      // the consumer stage.
-      for (size_t vc = 0; vc < stages_[c].variants.size(); ++vc) {
-        uint64_t pipe = host.CreatePipe();
-        route_msgs[{ps, 0}].downstream.push_back({pipe, mapping});
-        route_msgs[{c, vc}].upstream.push_back({pipe});
-      }
+      // One pipe from the producer's variant to the consumer's.
+      const uint64_t pipe = host.CreatePipe();
+      route_msgs[{ps, 0}].downstream.push_back({pipe, mapping});
+      route_msgs[{c, 0}].upstream.push_back({pipe});
     }
   }
 
   if (config_.direct_fastpath) {
     for (size_t s = 0; s < num_stages; ++s) {
-      stage_reports_[s] =
-          stages_[s].is_mvx() || produces_model_output[s];
+      stage_reports_[s] = stages_[s].is_mvx() || produces_model_output[s] ||
+                          !monitor_forwards_[s].empty();
     }
   }
 
@@ -738,7 +731,6 @@ Monitor::ServiceStatusSnapshot Monitor::ServiceStatus() {
     std::lock_guard<std::mutex> lock(service_ctl_mu_);
     out.running = service_running_;
     out.max_batch = service_config_.scheduler.max_batch;
-    out.continuous = service_config_.scheduler.continuous;
     out.edf = service_config_.scheduler.edf;
     out.batch_window_us = service_config_.scheduler.batch_window_us;
     out.tenant_quota_pct = service_config_.scheduler.tenant_quota_pct;
@@ -747,7 +739,7 @@ Monitor::ServiceStatusSnapshot Monitor::ServiceStatus() {
   if (!state) return out;
   std::lock_guard<std::mutex> state_lock(state->mu);
   out.accepting = state->accepting;
-  out.queue_depth = state->queued_submits;
+  out.queue_depth = state->queue.size();
   out.queue_max = state->queue_max;
   out.sessions.reserve(state->sessions.size());
   for (const auto& [id, info] : state->sessions) {
@@ -762,55 +754,27 @@ void Monitor::ServiceLoop() {
   // times carry fairness memory across serving streams.
   BatchFormer former(service_config_.scheduler);
   for (;;) {
-    bool legacy_next = false;
     {
       std::unique_lock<std::mutex> lock(st.mu);
       st.cv.wait(lock, [&] { return !st.queue.empty() || !st.accepting; });
       if (!st.accepting) {
         // Drain: everything still queued fails fast instead of running
         // against a pipeline about to be reconfigured.
-        while (!st.queue.empty()) {
-          internal::ServiceState::Item item = std::move(st.queue.front());
-          st.queue.pop_front();
-          if (item.legacy) {
-            item.group_result.set_value(
-                util::Unavailable("service stopped"));
-          } else {
-            InferenceResponse response;
-            response.status = util::Unavailable("service stopped");
-            response.seq = item.seq;
-            item.response.set_value(std::move(response));
-          }
+        for (auto& item : st.queue) {
+          InferenceResponse response;
+          response.status = util::Unavailable("service stopped");
+          response.seq = item.seq;
+          item.response.set_value(std::move(response));
         }
-        st.queued_submits = 0;
+        st.queue.clear();
         st.queue_depth->Set(0);
         return;
       }
-      legacy_next = st.queue.front().legacy;
     }
     m_.loop_heartbeat->Add(1);
-
-    if (legacy_next) {
-      // A legacy Run() vector travels alone as one exclusive classic
-      // pass (its options — sequential admission, deadlines, stats
-      // handle — are group-scoped).
-      internal::ServiceState::Item item;
-      {
-        std::lock_guard<std::mutex> lock(st.mu);
-        item = std::move(st.queue.front());
-        st.queue.pop_front();
-        st.groups_total->Add(1);
-      }
-      st.inflight->Set(static_cast<int64_t>(item.batches.size()));
-      item.group_result.set_value(RunStream(item.batches, item.options));
-      st.inflight->Set(0);
-      continue;
-    }
-
-    // Continuous serving stream: the scheduler forms batches and the
-    // stream admits them as slots free, until the service stops, a
-    // legacy group reaches the queue head, or the queue runs dry. A
-    // stream error fails only that stream's in-flight requests; the
+    // Serving stream: the scheduler forms batches and the stream admits
+    // them as slots free, until the service stops or the queue runs dry.
+    // A stream error fails only that stream's in-flight requests; the
     // loop then starts a fresh stream for whatever is still queued.
     (void)ServeStream(former);
   }
@@ -855,27 +819,23 @@ util::Status Monitor::ServeStream(BatchFormer& former) {
   feed.max_inflight = std::max<size_t>(1, sched.max_batch);
   feed.quiesce = [&] {
     std::lock_guard<std::mutex> lock(st.mu);
-    return !st.accepting || st.queue.empty() || st.queue.front().legacy;
+    return !st.accepting || st.queue.empty();
   };
   feed.next_wake_us = [&] { return window_recheck_us; };
   feed.refill = [&](size_t free_slots,
                     std::vector<std::vector<Tensor>>* out) -> size_t {
     window_recheck_us = 0;
-    // PR 6 parity mode: a new group forms only against an empty
-    // pipeline (the drain barrier the continuous scheduler removes).
-    if (!sched.continuous && !live.empty()) return 0;
     const int64_t now = util::NowMicros();
 
-    // Pull the submits ahead of any legacy barrier out of the queue;
-    // unpicked ones are put back in arrival order below.
+    // Pull the queued submits; unpicked ones are put back in arrival
+    // order below.
     std::vector<internal::ServiceState::Item> window;
     {
       std::lock_guard<std::mutex> lock(st.mu);
       if (!st.accepting) return 0;
-      while (!st.queue.empty() && !st.queue.front().legacy) {
-        window.push_back(std::move(st.queue.front()));
-        st.queue.pop_front();
-      }
+      window.assign(std::make_move_iterator(st.queue.begin()),
+                    std::make_move_iterator(st.queue.end()));
+      st.queue.clear();
     }
     if (window.empty()) return 0;
 
@@ -894,7 +854,7 @@ util::Status Monitor::ServeStream(BatchFormer& former) {
                false);
         continue;
       }
-      if (!MatchesShapes(item.batches.front(), model_input_shapes_)) {
+      if (!MatchesShapes(item.inputs, model_input_shapes_)) {
         InferenceResponse response;
         response.status = util::InvalidArgument(
             "request inputs do not match the model's input shapes");
@@ -929,26 +889,18 @@ util::Status Monitor::ServeStream(BatchFormer& former) {
     for (size_t i : plan.picks) {
       internal::ServiceState::Item& item = viable[i];
       ++inflight_per_tenant[item.tenant];
-      out->push_back(std::move(item.batches.front()));
+      out->push_back(std::move(item.inputs));
       live.emplace(next_index++, Pending{std::move(item), now});
     }
 
     // Put unpicked submits back at the queue head, original order.
-    size_t requeued = 0;
     {
       std::lock_guard<std::mutex> lock(st.mu);
       for (size_t i = viable.size(); i-- > 0;) {
-        if (picked[i]) continue;
-        st.queue.push_front(std::move(viable[i]));
-        ++requeued;
+        if (!picked[i]) st.queue.push_front(std::move(viable[i]));
       }
-      st.queued_submits = 0;
-      for (const auto& qi : st.queue) {
-        if (!qi.legacy) ++st.queued_submits;
-      }
-      st.queue_depth->Set(static_cast<int64_t>(st.queued_submits));
+      st.queue_depth->Set(static_cast<int64_t>(st.queue.size()));
     }
-    (void)requeued;
 
     if (!plan.picks.empty()) {
       st.groups_total->Add(1);
@@ -984,10 +936,7 @@ util::Status Monitor::ServeStream(BatchFormer& former) {
     st.inflight->Set(static_cast<int64_t>(live.size()));
   };
 
-  RunOptions options;
-  options.pipelined = true;
-  auto result = RunStream({}, options, &feed);
-  util::Status status = result.status();
+  util::Status status = RunStream(feed);
 
   // A stream abort leaves admitted-but-unanswered requests: fail each
   // with the stream error (or its own deadline, when that is the
@@ -1016,42 +965,6 @@ util::Status Monitor::ServeStream(BatchFormer& former) {
   return status;
 }
 
-util::Result<std::vector<std::vector<Tensor>>> Monitor::Run(
-    const std::vector<std::vector<Tensor>>& batches,
-    const RunOptions& options) {
-  if (!initialized_) return util::FailedPrecondition("not initialized");
-  static std::once_flag deprecation_once;
-  std::call_once(deprecation_once, [] {
-    MVTEE_WLOG << "Monitor::Run(batches) is deprecated and will be removed "
-               << "next release; use OpenSession() + Session::Submit "
-               << "(migration table in README)";
-  });
-  MVTEE_RETURN_IF_ERROR(StartService(service_config_));
-  std::future<util::Result<std::vector<std::vector<Tensor>>>> future;
-  {
-    std::lock_guard<std::mutex> lock(service_->mu);
-    if (!service_->accepting) return util::Unavailable("service stopped");
-    internal::ServiceState::Item item;
-    item.legacy = true;
-    item.batches = batches;
-    item.options = options;
-    item.enqueue_us = util::NowMicros();
-    future = item.group_result.get_future();
-    service_->queue.push_back(std::move(item));
-  }
-  service_->cv.notify_one();
-  {
-    // Wake a parked serving stream so it quiesces for the legacy pass.
-    std::shared_ptr<transport::WaitSet> waker;
-    {
-      std::lock_guard<std::mutex> lock(service_->mu);
-      waker = service_->waker;
-    }
-    if (waker) waker->Notify();
-  }
-  return future.get();
-}
-
 void Monitor::DeactivateBinding(int32_t stage,
                                 const std::string& variant_id) {
   std::lock_guard<std::mutex> lock(bindings_mu_);
@@ -1078,43 +991,15 @@ void Monitor::RebootstrapSlot(size_t stage, size_t vi) {
   supervisor_->FinishRebootstrap(stage, vi, ok, util::NowMicros());
 }
 
-util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
-    const std::vector<std::vector<Tensor>>& batches,
-    const RunOptions& options, StreamFeed* feed) {
-  const bool pipelined = options.pipelined;
+util::Status Monitor::RunStream(StreamFeed& feed) {
   if (!initialized_) return util::FailedPrecondition("not initialized");
-  const size_t num_batches = batches.size();
-  if (feed == nullptr) {
-    if (num_batches == 0) return std::vector<std::vector<Tensor>>{};
-    for (const auto& b : batches) {
-      if (b.size() != model_input_shapes_.size()) {
-        return util::InvalidArgument(
-            "expected " + std::to_string(model_input_shapes_.size()) +
-            " model inputs per batch");
-      }
-    }
-  }
   const size_t num_stages = stages_.size();
-  // Feed mode allocates batch ids lazily, one per admitted request;
-  // RunStream calls are serialized on the service thread so the ids
-  // stay contiguous from `base`.
-  const uint64_t base = feed != nullptr
-                            ? next_batch_id_.load()
-                            : next_batch_id_.fetch_add(num_batches);
-  // One distributed trace per inference batch (DESIGN.md §8): the
-  // monitor's admit/forward/verify spans and — via the authenticated
-  // channel headers — every variant-side span share a batch's id.
-  std::vector<uint64_t> trace_ids(num_batches);
-  for (auto& t : trace_ids) t = obs::NewTraceId();
-  if (options.trace_ids != nullptr) *options.trace_ids = trace_ids;
+  // Batch ids are allocated one per admitted request; RunStream calls
+  // are serialized on the service thread so the ids stay contiguous
+  // from `base`.
+  const uint64_t base = next_batch_id_.load();
   const int64_t run_vstart = vclock_us_;
-  const int64_t wall_start = util::NowMicros();
-  obs::ScopedSpan run_span("monitor/run",
-                           {.tag = pipelined ? "pipelined" : "sequential"});
-  // This call's own statistics; merged into the metrics registry (and
-  // the ConsumeStats() backlog) when the run finishes.
-  RunStats rstats;
-  rstats.batch_verify_us.assign(num_batches, 0);  // grows per feed admit
+  obs::ScopedSpan run_span("monitor/run", {.tag = "stream"});
   auto channel_bytes = [&] {
     uint64_t total = 0;
     for (const auto& stage : stages_) {
@@ -1189,21 +1074,34 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     // once the stage verdict commits — never part of the vote.
     std::map<size_t, std::vector<std::optional<InferResultMsg>>> shadow;
     std::map<size_t, std::vector<OutputsSummary>> shadow_sums;
-    // Input sends completed per stage; a stage "owes" reports only once
-    // feeds_done == stage_feed_count_ (timeout classification).
+    // Input sends completed per stage; the idle timeout judges a stage
+    // only once feeds_done == stage_feed_count_.
     std::vector<size_t> feeds_done;
+    // Per panel stage and member: 1 while a report is owed (inputs
+    // sent, no report yet). The batch is kept until `owed` is 0.
+    std::vector<std::vector<char>> owes;
+    size_t owed = 0;
     // Verify-pool jobs holding pointers into this state (worker side or
     // queued applier). GC of a completed batch waits for zero.
     size_t jobs_inflight = 0;
+    // The batch's distributed trace (DESIGN.md §8): the monitor's
+    // admit/forward/verify spans and — via the authenticated channel
+    // headers — every variant-side span share it.
+    uint64_t trace_id = 0;
+    // Cross-validation CPU spent on this batch (the per-request verify
+    // phase of the latency breakdown).
+    int64_t verify_us = 0;
   };
-  // Deque: pointer-stable across both the feed's push_back growth and
-  // the sliding-window pop_front GC (workers hold BatchState*).
-  std::deque<BatchState> bs;
-  if (feed == nullptr) bs.resize(num_batches);
-  // Stream indices below window_base are completed, GC'd batches; live
-  // state for batch b is bat(b).
-  size_t window_base = 0;
-  auto bat = [&](size_t b) -> BatchState& { return bs[b - window_base]; };
+  // Stream index -> state. Map nodes are pointer-stable (workers hold
+  // BatchState*), and any finished batch can be reclaimed on its own.
+  std::map<size_t, BatchState> bs;
+  auto bat = [&](size_t b) -> BatchState& { return bs.at(b); };
+  // The newest admission: attributes events that belong to no batch.
+  uint64_t last_trace_id = 0;
+  auto trace_of = [&](size_t b) {
+    const auto it = bs.find(b);
+    return it != bs.end() ? it->second.trace_id : last_trace_id;
+  };
   // Cross-validation worker pool (declared after `bs`: destroyed first,
   // so in-flight jobs never outlive the state they read). Completed
   // jobs notify the wait set so the loop below wakes up. Only MVX
@@ -1230,13 +1128,13 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
                              int64_t v_decide,
                              const std::vector<int>& dissenters = {},
                              const InferResultMsg* fast = nullptr) {
+    BatchState& state = bat(b);
     obs::CheckpointEvidence ev;
-    ev.trace_id = trace_ids[b];
+    ev.trace_id = state.trace_id;
     ev.batch = base + b;
     ev.stage = static_cast<int32_t>(s);
     ev.verdict = std::move(verdict);
     ev.v_decide_us = v_decide;
-    BatchState& state = bat(b);
     const size_t k = stages_[s].variants.size();
     const auto rit = state.reports.find(s);
     const auto sit = state.summaries.find(s);
@@ -1262,19 +1160,19 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     }
     recorder.Note(std::move(ev));
   };
-  // First incident wins; later failures in the same run ride along in
-  // the already-written ring.
-  auto dump_evidence = [&](const std::string& trigger, size_t b,
+  // First incident wins; later failures in the same stream ride along
+  // in the already-written ring.
+  auto dump_evidence = [&](const std::string& trigger, uint64_t trace_id,
                            const std::string& detail) {
     if (evidence_dumped) return;
     evidence_dumped = true;
-    (void)recorder.DumpBundle(trigger, trace_ids[b], detail);
+    (void)recorder.DumpBundle(trigger, trace_id, detail);
   };
 
   // --- lifecycle supervision (ReactionKind::kQuarantineAndRestart) ---
   const bool supervised = supervisor_ != nullptr;
-  bool lifecycle_events = false;       // any transition this run
-  size_t lifecycle_trigger_batch = 0;  // first affected batch (evidence)
+  bool lifecycle_events = false;        // any transition this stream
+  uint64_t lifecycle_trigger_trace = 0;  // first affected batch (evidence)
   // Settles a departed slot's owed reports as failures so waiting votes
   // proceed without the recv timeout. Assigned after handle_result
   // (mutual recursion: quarantine -> settle -> handle_result).
@@ -1285,7 +1183,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
   auto note_lifecycle = [&](size_t s, size_t vi, const char* verdict,
                             size_t b, const std::string& why) {
     obs::CheckpointEvidence ev;
-    ev.trace_id = trace_ids[b];
+    ev.trace_id = trace_of(b);
     ev.batch = base + b;
     ev.stage = static_cast<int32_t>(s);
     ev.verdict = verdict;
@@ -1297,9 +1195,9 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
             std::string_view(verdict) == "rebootstrap";
     ve.dissent = !ve.ok;
     ev.variants.push_back(std::move(ve));
-    recorder.Note(std::move(ev));
-    if (!lifecycle_events) lifecycle_trigger_batch = b;
+    if (!lifecycle_events) lifecycle_trigger_trace = ev.trace_id;
     lifecycle_events = true;
+    recorder.Note(std::move(ev));
   };
 
   // Channel teardown + audit for a slot that just left the panel.
@@ -1340,16 +1238,82 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
   util::Status run_error = util::OkStatus();
   size_t completed = 0;
   size_t admitted = 0;
-  // Pipelined latency is reported as steady-state time-per-result
-  // (inter-completion interval): the latency a streaming client observes
-  // per answer. Sequential latency is per-batch end-to-end. Both are in
-  // virtual time.
+  // Virtual time of the latest completion. A batch's latency is
+  // vcomplete - max(admit_vus, previous completion): its own span when
+  // batches run one at a time, the interval between answers when they
+  // are pipelined.
   int64_t last_completion_vus = run_vstart;
 
-  auto admit = [&](size_t b, const std::vector<Tensor>& inputs) {
+  // Async lag bound (DESIGN.md §5): per panel stage and member, the
+  // reports owed across every batch of the stream, and since when the
+  // member has been silent while owing one. The budget L is max_batch.
+  const size_t lag_budget = feed.max_inflight;
+  std::vector<std::vector<size_t>> lag(num_stages);
+  std::vector<std::vector<int64_t>> silent_since(num_stages);
+  for (size_t s = 0; s < num_stages; ++s) {
+    lag[s].assign(stages_[s].variants.size(), 0);
+    silent_since[s].assign(stages_[s].variants.size(), 0);
+  }
+  size_t owed_total = 0;
+  auto stop_owing = [&](BatchState& state, size_t s, size_t vi) {
+    state.owes[s][vi] = 0;
+    --state.owed;
+    --lag[s][vi];
+    --owed_total;
+  };
+  // An owed report that can no longer arrive: never cross-checked and
+  // never judged as dissent.
+  auto release_owed = [&](BatchState& state, size_t s, size_t vi) {
+    stop_owing(state, s, vi);
+    m_.unchecked_reports->Add(1);
+  };
+  // An owed report nothing waits for any more: a shadow seat, a decided
+  // stage or a completed batch. A voting seat of an undecided stage is
+  // settled as a failure instead, so its vote can proceed.
+  auto releasable = [](const BatchState& state, size_t s, size_t vi) {
+    return state.masks[s][vi] != 1 || state.complete ||
+           state.voted.count(s) > 0;
+  };
+  // Runs before the first frame of a batch reaches panel stage s. A
+  // member that already owes lag_budget reports skips the batch, as
+  // long as a majority of the panel still gets it; so does a member
+  // whose channel closed since admission. Every other member owes a
+  // report from here on.
+  auto begin_feed = [&](BatchState& state, size_t s) {
+    if (!stages_[s].is_mvx() || state.feeds_done[s] > 0) return;
+    std::vector<char>& mask = state.masks[s];
+    const size_t k = mask.size();
+    auto voting = static_cast<size_t>(std::count(mask.begin(), mask.end(), 1));
+    for (size_t vi = 0; vi < k; ++vi) {
+      if (mask[vi] == 0) continue;
+      const bool departed = supervised && !supervisor_->ChannelLive(s, vi);
+      if (!departed) {
+        if (lag[s][vi] < lag_budget) continue;
+        if (mask[vi] == 1 && voting <= k / 2 + 1) continue;
+        m_.unsampled_batches->Add(1);
+      }
+      if (mask[vi] == 1) --voting;
+      mask[vi] = 0;
+    }
+    const int64_t now = util::NowMicros();
+    for (size_t vi = 0; vi < k; ++vi) {
+      if (mask[vi] == 0) continue;
+      if (lag[s][vi]++ == 0) silent_since[s][vi] = now;
+      state.owes[s][vi] = 1;
+      ++state.owed;
+      ++owed_total;
+    }
+  };
+
+  auto admit = [&](const std::vector<Tensor>& inputs) {
+    const size_t b = admitted;
+    (void)next_batch_id_.fetch_add(1);  // == base + b
+    BatchState& bstate = bs[b];
+    bstate.trace_id = obs::NewTraceId();
+    last_trace_id = bstate.trace_id;
     // Root of batch b's distributed trace; the span's context rides to
     // every variant in the sends' authenticated plaintext headers.
-    obs::TraceContextScope troot(trace_ids[b], 0);
+    obs::TraceContextScope troot(bstate.trace_id, 0);
     obs::ScopedSpan span("monitor/admit",
                          {.batch = static_cast<int64_t>(base + b), .tag = {}});
     const util::Bytes tctx = EncodeTraceContext(span.context());
@@ -1362,14 +1326,15 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     event_vbase = vclock_us_;
     handling_cpu0 = util::ThreadCpuMicros();
     send_cpu_excluded = 0;
-    bat(b).admit_vus = vnow();
+    bstate.admit_vus = vnow();
     // Freeze panel membership for this batch: quarantined slots get no
     // inputs, probation slots shadow-execute.
-    BatchState& bstate = bat(b);
     bstate.masks.resize(num_stages);
+    bstate.owes.resize(num_stages);
     bstate.feeds_done.assign(num_stages, 0);
     for (size_t s = 0; s < num_stages; ++s) {
       bstate.masks[s].assign(stages_[s].variants.size(), 1);
+      bstate.owes[s].assign(stages_[s].variants.size(), 0);
       if (!supervised) continue;
       for (size_t vi = 0; vi < stages_[s].variants.size(); ++vi) {
         if (supervisor_->Voting(s, vi)) {
@@ -1393,6 +1358,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
       // vtime stamp depends only on the (identical) frame size, so it
       // is set per variant before the single-pass encode.
       const size_t frame_size = EncodedSize(msg);
+      begin_feed(bstate, s);
       for (size_t vi = 0; vi < stages_[s].variants.size(); ++vi) {
         if (bstate.masks[s][vi] == 0) continue;
         auto& conn = stages_[s].variants[vi];
@@ -1430,7 +1396,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     event_vbase = state.v_chosen.count(s) ? state.v_chosen[s] : vnow();
     if (supervised && judge_pending_shadows) judge_pending_shadows(s, b);
     if (!monitor_forwards_[s].empty()) {
-      obs::TraceContextScope troot(trace_ids[b], 0);
+      obs::TraceContextScope troot(state.trace_id, 0);
       obs::ScopedSpan span("monitor/forward",
                            {.stage = static_cast<int32_t>(s),
                             .batch = static_cast<int64_t>(base + b),
@@ -1448,6 +1414,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
         }
         const size_t frame_size = EncodedSize(msg);
         const auto consumer = static_cast<size_t>(target.consumer_stage);
+        begin_feed(state, consumer);
         for (size_t vi = 0; vi < stages_[consumer].variants.size(); ++vi) {
           if (state.masks[consumer][vi] == 0) continue;
           // A panel member of this batch may have been quarantined
@@ -1479,61 +1446,41 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
         }
       }
       if (vcomplete == 0) vcomplete = vnow();
-      rstats.batch_latency_us.push_back(
-          pipelined ? std::max<int64_t>(0, vcomplete - last_completion_vus)
-                    : vcomplete - state.admit_vus);
-      rstats.fast_path_forwards += silent_fast_stages;
+      const int64_t latency = std::max<int64_t>(
+          0, vcomplete - std::max(state.admit_vus, last_completion_vus));
       last_completion_vus = std::max(last_completion_vus, vcomplete);
-      if (feed != nullptr) {
-        // Continuous streams are long-lived: merge accumulated counters
-        // into the registry at every completion (add-and-reset, the
-        // end-of-run flush adds the remainder), so /metrics and
-        // ConsumeStats() reflect delivered work without waiting for the
-        // stream to quiesce — a loaded stream may not quiesce for hours,
-        // and the requester's future resolves before the stream ends.
-        m_.checkpoints_evaluated->Add(rstats.checkpoints_evaluated);
-        m_.fast_path_forwards->Add(rstats.fast_path_forwards);
-        m_.divergences->Add(rstats.divergences);
-        m_.late_divergences->Add(rstats.late_divergences);
-        m_.variant_failures->Add(rstats.variant_failures);
-        m_.batches_completed->Add(rstats.batch_latency_us.size());
-        for (int64_t lat : rstats.batch_latency_us) {
-          m_.batch_latency_us->Observe(lat);
-        }
-        rstats.checkpoints_evaluated = 0;
-        rstats.fast_path_forwards = 0;
-        rstats.divergences = 0;
-        rstats.late_divergences = 0;
-        rstats.variant_failures = 0;
-        rstats.batch_latency_us.clear();
-        // Continuous delivery: the requester gets its answer the moment
-        // its batch completes — in-flight neighbors keep running.
-        std::vector<Tensor> outs;
-        for (const auto& src : model_outputs_) {
-          outs.push_back(state.chosen[static_cast<size_t>(src.stage)]
-                                     [static_cast<size_t>(src.index)]);
-        }
-        feed->deliver(b, std::move(outs), rstats.batch_verify_us[b],
-                      trace_ids[b]);
+      m_.fast_path_forwards->Add(silent_fast_stages);
+      m_.batches_completed->Add(1);
+      m_.batch_latency_us->Observe(latency);
+      {
+        std::lock_guard<std::mutex> lock(stats_mu_);
+        pending_latency_.Add(latency);
       }
-      // Sequential pacing: the next admission can only happen after this
-      // completion is observed. The admission itself is deferred to the
-      // event loop (its own top-level event) — calling admit() here
-      // would clobber the virtual-time bases of the result event still
-      // being handled.
+      // The requester gets its answer the moment its batch completes —
+      // in-flight neighbors keep running.
+      std::vector<Tensor> outs;
+      for (const auto& src : model_outputs_) {
+        outs.push_back(state.chosen[static_cast<size_t>(src.stage)]
+                                   [static_cast<size_t>(src.index)]);
+      }
+      feed.deliver(b, std::move(outs), state.verify_us, state.trace_id);
+      // The next admission can only happen after this completion is
+      // observed. It is deferred to the event loop (its own top-level
+      // event) — calling admit() here would clobber the virtual-time
+      // bases of the result event still being handled.
       vclock_us_ = std::max(vclock_us_, vcomplete);
     }
   };
 
   // Aggregate prefilter/verify-cost bookkeeping (applied on the
-  // monitor thread by job appliers). `b` attributes the verification
-  // CPU to its batch for the per-request latency breakdown.
-  auto note_verify_job = [&](size_t b, int64_t verify_cpu,
+  // monitor thread by job appliers). The verification CPU is
+  // attributed to its batch for the per-request latency breakdown.
+  auto note_verify_job = [&](BatchState& state, int64_t verify_cpu,
                              const CheckStats& cstats) {
     m_.verify_job_us->Observe(verify_cpu);
     m_.prefilter_hits->Add(cstats.prefilter_hits);
     m_.full_checks->Add(cstats.full_checks);
-    rstats.batch_verify_us[b] += verify_cpu;
+    state.verify_us += verify_cpu;
   };
 
   // The decision verdict is its own virtual-time event, parallel to
@@ -1595,10 +1542,12 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
       case Supervisor::ProbationOutcome::kRequarantined:
         detach_slot(s, vi);
         note_lifecycle(s, vi, "quarantine", b, "probation dissent");
+        settle_owed(s, vi, "quarantined");
         break;
       case Supervisor::ProbationOutcome::kRetired:
         detach_slot(s, vi);
         note_lifecycle(s, vi, "retired", b, "retry budget exhausted");
+        settle_owed(s, vi, "retired");
         break;
       case Supervisor::ProbationOutcome::kNone:
         break;
@@ -1631,7 +1580,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     std::vector<const InferResultMsg*> settled;
     std::vector<OutputsSummary> sums;
     for (size_t i = 0; i < k; ++i) {
-      if (supervised && state.masks[s][i] != 1) continue;
+      if (state.masks[s][i] != 1) continue;
       const auto& r = state.reports[s][i];
       if (supervised && (!r.has_value() || !r->ok)) {
         auto_dissent.push_back(static_cast<int>(i));
@@ -1652,12 +1601,12 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     const CheckPolicy check = config_.check;
     obs::Histogram* verify_hist = stages_[s].metrics.verify_us;
     ++state.jobs_inflight;  // released by the applier (monitor thread)
-    pool.Submit([this, s, b, k, st, base, tid = trace_ids[b],
+    pool.Submit([this, s, b, k, st, base, tid = state.trace_id,
                  vmap = std::move(vmap),
                  auto_dissent = std::move(auto_dissent),
                  settled = std::move(settled),
                  sums = std::move(sums), prefilter, check, vote_policy,
-                 verify_hist, &rstats, &run_error, &on_chosen,
+                 verify_hist, &run_error, &on_chosen,
                  &note_verify_job, &note_checkpoint, &dump_evidence,
                  &begin_decision_event,
                  &lifecycle_dissent]() -> VerifyPool::Apply {
@@ -1687,16 +1636,16 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
       return [this, s, b, k, st, vote, cstats, verify_cpu,
               vmap = std::move(vmap),
               auto_dissent = std::move(auto_dissent),
-              list = std::move(list), sums = std::move(sums), &rstats,
-              &run_error, &on_chosen, &note_verify_job, &note_checkpoint,
+              list = std::move(list), sums = std::move(sums), &run_error,
+              &on_chosen, &note_verify_job, &note_checkpoint,
               &dump_evidence, &begin_decision_event,
               &lifecycle_dissent]() mutable {
         --st->jobs_inflight;
         if (st->voted.count(s)) return;  // quorum decided meanwhile
         st->voted.insert(s);
-        note_verify_job(b, verify_cpu, cstats);
+        note_verify_job(*st, verify_cpu, cstats);
         begin_decision_event(*st, s, verify_cpu);
-        rstats.checkpoints_evaluated++;
+        m_.checkpoints_evaluated->Add(1);
         // Dissenters in panel coordinates: the vote's dissenters mapped
         // back through vmap plus the auto-excluded failures.
         std::vector<int> dissent_idx = auto_dissent;
@@ -1705,7 +1654,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
               static_cast<int>(vmap[static_cast<size_t>(d)]));
         }
         std::sort(dissent_idx.begin(), dissent_idx.end());
-        rstats.divergences += dissent_idx.size();
+        m_.divergences->Add(dissent_idx.size());
         m_.divergences_total->Add(dissent_idx.size());
         note_checkpoint(s, b,
                         dissent_idx.empty() ? "accepted" : "divergence",
@@ -1720,7 +1669,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
                 std::to_string(dissent_idx.size()) + "/" +
                 std::to_string(k) + " variants dissent");
           }
-          dump_evidence("vote-divergence", b, run_error.message());
+          dump_evidence("vote-divergence", st->trace_id, run_error.message());
           return;
         }
         st->chosen[s] = std::move(list[static_cast<size_t>(vote.winner)]);
@@ -1754,7 +1703,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     size_t settled_count = 0;
     size_t voting_count = 0;  // batch-frozen panel size (mask == 1)
     for (size_t i = 0; i < k; ++i) {
-      if (supervised && state.masks[s][i] != 1) continue;
+      if (state.masks[s][i] != 1) continue;
       ++voting_count;
       const auto& r = state.reports[s][i];
       if (!r.has_value()) continue;
@@ -1769,13 +1718,12 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     const CheckPolicy check = config_.check;
     obs::Histogram* verify_hist = stages_[s].metrics.verify_us;
     ++state.jobs_inflight;  // released by the applier (monitor thread)
-    pool.Submit([this, s, b, k, st, base, tid = trace_ids[b],
+    pool.Submit([this, s, b, k, st, base, tid = state.trace_id,
                  outs = std::move(outs),
                  sums = std::move(sums), in_snapshot = std::move(in_snapshot),
-                 settled_count, voting_count, supervised, prefilter, check,
-                 verify_hist, &rstats,
-                 &run_error, &on_chosen, &note_verify_job, &note_checkpoint,
-                 &dump_evidence,
+                 settled_count, voting_count, prefilter, check,
+                 verify_hist, &run_error, &on_chosen, &note_verify_job,
+                 &note_checkpoint, &dump_evidence,
                  &begin_decision_event, &dissents_from_chosen,
                  &schedule_quorum, &lifecycle_dissent,
                  &schedule_full_vote]() -> VerifyPool::Apply {
@@ -1812,9 +1760,9 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
       }
       const int64_t verify_cpu = util::ThreadCpuMicros() - cpu0;
       return [this, s, b, k, st, outs, sums, in_snapshot, settled_count,
-              voting_count, supervised, cstats, verify_cpu, best_pos,
+              voting_count, cstats, verify_cpu, best_pos,
               best_size,
-              best_bloc = std::move(best_bloc), &rstats, &run_error,
+              best_bloc = std::move(best_bloc), &run_error,
               &on_chosen, &note_verify_job, &note_checkpoint,
               &dump_evidence, &begin_decision_event,
               &dissents_from_chosen, &schedule_quorum, &lifecycle_dissent,
@@ -1824,13 +1772,13 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
         const bool was_dirty = st->verify_dirty.count(s) > 0;
         st->verify_dirty.erase(s);
         if (st->voted.count(s)) return;
-        note_verify_job(b, verify_cpu, cstats);
+        note_verify_job(*st, verify_cpu, cstats);
         // Quorum over the batch-frozen panel, not the configured k: a
         // degraded panel keeps making progress.
         const size_t quorum = voting_count / 2 + 1;
         size_t received_now = 0;
         for (size_t i = 0; i < k; ++i) {
-          if (supervised && st->masks[s][i] != 1) continue;
+          if (st->masks[s][i] != 1) continue;
           if (st->reports[s][i].has_value()) ++received_now;
         }
         if (best_size >= quorum) {
@@ -1861,8 +1809,8 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
           for (size_t o = 0; o < outs.size(); ++o) {
             if (!best_bloc[o]) ++dissent_now;
           }
-          rstats.checkpoints_evaluated++;
-          rstats.divergences += dissent_now;
+          m_.checkpoints_evaluated->Add(1);
+          m_.divergences->Add(dissent_now);
           m_.divergences_total->Add(dissent_now);
           note_checkpoint(s, b,
                           dissent_now > 0 ? "divergence" : "accepted",
@@ -1874,7 +1822,8 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
                   "stage " + std::to_string(s) + " batch " +
                   std::to_string(b) + ": dissent under async quorum");
             }
-            dump_evidence("vote-divergence", b, run_error.message());
+            dump_evidence("vote-divergence", st->trace_id,
+                          run_error.message());
             return;
           }
           for (int d : dissent_idx) {
@@ -1883,14 +1832,14 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
           // Reports that landed between snapshot and decision are
           // cross-validated as stragglers.
           for (size_t i = 0; i < k; ++i) {
-            if (supervised && st->masks[s][i] != 1) continue;
+            if (st->masks[s][i] != 1) continue;
             const auto& r = st->reports[s][i];
             if (!r.has_value() || in_snapshot[i]) continue;
             const OutputsSummary rsum =
                 i < st->summaries[s].size() ? st->summaries[s][i]
                                             : OutputsSummary{};
             if (dissents_from_chosen(*st, s, *r, rsum)) {
-              rstats.late_divergences++;
+              m_.late_divergences->Add(1);
               m_.divergences_total->Add(1);
               note_checkpoint(s, b, "late-divergence", st->v_chosen[s],
                               {static_cast<int>(i)});
@@ -1911,22 +1860,23 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
   };
 
   auto handle_result = [&](size_t s, size_t vi, InferResultMsg&& msg) {
-    if (msg.batch_id < base + window_base ||
-        msg.batch_id >= base + (feed != nullptr ? admitted : num_batches)) {
-      // Stale frame: earlier (aborted) run, or a GC'd batch. A panel
-      // member's report for a batch whose state is gone is never
-      // cross-checked.
-      if (msg.batch_id < base + window_base &&
-          stages_[s].variants.size() > 1) {
-        m_.unchecked_reports->Add(1);
-      }
-      return;
-    }
+    // Frames of an earlier stream, or of a reclaimed batch (which owed
+    // nothing any more), are dropped.
+    if (msg.batch_id < base || msg.batch_id >= base + admitted) return;
     const size_t b = static_cast<size_t>(msg.batch_id - base);
-    BatchState& state = bat(b);
+    const auto it = bs.find(b);
+    if (it == bs.end()) return;
+    BatchState& state = it->second;
     const size_t k = stages_[s].variants.size();
+    // A panel report counts once, and only while it is owed: duplicates
+    // and reports already released are dropped.
+    if (k > 1) {
+      if (!state.owes[s][vi]) return;
+      stop_owing(state, s, vi);
+      silent_since[s][vi] = util::NowMicros();
+    }
 
-    if (!msg.ok) rstats.variant_failures++;
+    if (!msg.ok) m_.variant_failures->Add(1);
 
     // Fast path: single variant — forwarded unverified, unless the
     // slow path is forced (checkpoint rule evaluation, Fig. 10).
@@ -1938,14 +1888,14 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
           run_error = util::Aborted("stage " + std::to_string(s) +
                                     " variant failed: " + msg.error);
         }
-        dump_evidence("run-abort", b, run_error.message());
+        dump_evidence("run-abort", state.trace_id, run_error.message());
         return;
       }
       state.v_chosen[s] = static_cast<int64_t>(msg.vtime_us);
       if (config_.verify_fast_path) {
         bool rule_violation = false;
         {
-          obs::TraceContextScope troot(trace_ids[b], 0);
+          obs::TraceContextScope troot(state.trace_id, 0);
           obs::ScopedSpan span("monitor/verify",
                                {.stage = static_cast<int32_t>(s),
                                 .batch = static_cast<int64_t>(msg.batch_id),
@@ -1956,7 +1906,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
             if (tensor::HasNonFinite(t)) rule_violation = true;
           }
         }
-        rstats.checkpoints_evaluated++;
+        m_.checkpoints_evaluated->Add(1);
         note_checkpoint(s, b,
                         rule_violation ? "rule-violation" : "accepted",
                         state.v_chosen[s],
@@ -1964,18 +1914,19 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
                                        : std::vector<int>{},
                         &msg);
         if (rule_violation) {
-          rstats.divergences++;
+          m_.divergences->Add(1);
           m_.divergences_total->Add(1);
           if (run_error.ok()) {
             run_error = util::DivergenceDetected(
                 "stage " + std::to_string(s) + " batch " +
                 std::to_string(b) + ": checkpoint rule violation");
           }
-          dump_evidence("vote-divergence", b, run_error.message());
+          dump_evidence("vote-divergence", state.trace_id,
+                        run_error.message());
           return;
         }
       } else {
-        rstats.fast_path_forwards++;
+        m_.fast_path_forwards->Add(1);
       }
       state.v_chosen[s] += util::ThreadCpuMicros() - handling_cpu0 -
                            send_cpu_excluded;
@@ -1985,9 +1936,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     }
 
     // Slow path (MVX panel).
-    const char mk = supervised ? state.masks[s][vi] : char{1};
-    if (mk == 0) return;  // slot was not admitted for this batch
-    if (mk == 2) {
+    if (state.masks[s][vi] == 2) {
       // Probation shadow: buffered out of the vote entirely; judged
       // against the committed verdict (immediately when this stage has
       // already decided, else when on_chosen drains pending shadows).
@@ -1997,7 +1946,6 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
         sh.resize(k);
         shs.resize(k);
       }
-      if (sh[vi].has_value()) return;
       if (config_.digest_prefilter && msg.ok) {
         shs[vi] = SummarizeOutputs(msg.outputs);
       }
@@ -2010,10 +1958,6 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     if (panel.empty()) {
       panel.resize(k);
       sums.resize(k);
-    }
-    if (panel[vi].has_value()) {
-      return;  // duplicate frame: slots settle exactly once (workers
-               // hold pointers into settled slots)
     }
     if (config_.digest_prefilter && msg.ok) {
       // One hashing pass per report; equal digests short-circuit the
@@ -2034,7 +1978,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     if (state.voted.count(s)) {
       // Async straggler: cross-validate against the accepted value.
       if (dissents_from_chosen(state, s, *panel[vi], sums[vi])) {
-        rstats.late_divergences++;
+        m_.late_divergences->Add(1);
         m_.divergences_total->Add(1);
         note_checkpoint(s, b, "late-divergence",
                         static_cast<int64_t>(panel[vi]->vtime_us),
@@ -2046,7 +1990,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
 
     size_t received = 0, voting = 0;
     for (size_t i = 0; i < k; ++i) {
-      if (supervised && state.masks[s][i] != 1) continue;
+      if (state.masks[s][i] != 1) continue;
       ++voting;
       if (panel[i].has_value()) ++received;
     }
@@ -2070,26 +2014,20 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     }
   };
 
-  // A quarantined slot may still owe reports to in-flight batches whose
-  // masks froze it as a voter. Settle those as synthesized failures so
-  // their votes proceed immediately instead of waiting out recv_timeout.
+  // A departed slot (quarantined or retired) can no longer send what it
+  // owes. Reports nothing waits for are released; a voting seat of an
+  // undecided stage whose inputs were all dispatched is settled as a
+  // synthesized failure, so that vote proceeds now instead of waiting
+  // out recv_timeout.
   settle_owed = [&](size_t s, size_t vi, const char* why) {
     if (!stages_[s].is_mvx()) return;
-    for (size_t b = window_base; b < admitted; ++b) {
-      BatchState& state = bat(b);
-      if (state.complete || state.masks.empty()) continue;
-      if (state.masks[s][vi] != 1) continue;
-      if (state.voted.count(s)) continue;
-      // Only stages whose inputs were fully dispatched owe a report.
-      if (stage_feed_count_[s] == 0 ||
-          state.feeds_done[s] < stage_feed_count_[s]) {
+    for (auto& [b, state] : bs) {
+      if (!state.owes[s][vi]) continue;
+      if (releasable(state, s, vi)) {
+        release_owed(state, s, vi);
         continue;
       }
-      const auto pit = state.reports.find(s);
-      if (pit != state.reports.end() && vi < pit->second.size() &&
-          pit->second[vi].has_value()) {
-        continue;  // already settled
-      }
+      if (state.feeds_done[s] < stage_feed_count_[s]) continue;
       InferResultMsg fail;
       fail.batch_id = base + b;
       fail.vtime_us = static_cast<uint64_t>(vclock_us_);
@@ -2099,29 +2037,37 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     }
   };
 
-  // Admission. Feed mode starts empty: the loop's refill step admits.
-  if (feed == nullptr) {
-    if (pipelined) {
-      for (size_t b = 0; b < num_batches; ++b) admit(b, batches[b]);
-    } else {
-      admit(0, batches[0]);
+  // Releases what members silent for recv_timeout_us owe where nothing
+  // waits for it (undecided votes are left to the idle timeout below).
+  auto release_silent = [&](int64_t now) {
+    bool released = false;
+    for (size_t s = 0; s < num_stages; ++s) {
+      for (size_t vi = 0; vi < lag[s].size(); ++vi) {
+        if (lag[s][vi] == 0 ||
+            now - silent_since[s][vi] <= config_.recv_timeout_us) {
+          continue;
+        }
+        for (auto& [b, state] : bs) {
+          if (state.owes[s][vi] && releasable(state, s, vi)) {
+            release_owed(state, s, vi);
+            released = true;
+          }
+        }
+      }
     }
-  }
+    return released;
+  };
 
-  // Evented loop: drain completed verify verdicts, run any deferred
-  // sequential admission (or feed refill), poll every variant channel
-  // without blocking, then — only if nothing happened — block on the
-  // shared wait set until a frame lands or a verify job completes. A
-  // one-shot run is done when every batch completed AND the verify
-  // pool drained (pending verdicts still carry stats); a feed stream
-  // additionally keeps serving until the feed quiesces.
+  // Evented loop: drain completed verify verdicts, refill free pipeline
+  // slots from the feed, poll every variant channel without blocking,
+  // then — only if nothing happened — block on the shared wait set
+  // until a frame lands or a verify job completes. The stream ends once
+  // the feed quiesces with nothing in flight, no verify job pending and
+  // no report owed.
   int64_t idle_deadline = util::NowMicros() + config_.recv_timeout_us;
   auto work_remains = [&] {
-    if (feed != nullptr) {
-      return completed < admitted || pool.pending() > 0 ||
-             !feed->quiesce();
-    }
-    return completed < num_batches || pool.pending() > 0;
+    return completed < admitted || pool.pending() > 0 || owed_total > 0 ||
+           !feed.quiesce();
   };
   while (work_remains() && run_error.ok()) {
     // Liveness beacon for the stall watchdog: the loop either makes
@@ -2129,21 +2075,13 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     // healthy loop beats continuously while work is pending.
     m_.loop_heartbeat->Add(1);
     if (config_.loop_tick_hook) config_.loop_tick_hook();
-    if (options.deadline_us > 0 &&
-        util::NowMicros() - wall_start > options.deadline_us) {
-      run_error = util::DeadlineExceeded(
-          "run deadline of " + std::to_string(options.deadline_us) +
-          "us exceeded (" + std::to_string(completed) + "/" +
-          std::to_string(num_batches) + " batches complete)");
-      break;
-    }
     // Epoch snapshot BEFORE polling: an event landing after the
     // snapshot advances the epoch, so the wait below returns
     // immediately instead of losing the wakeup.
     const uint64_t epoch = wait_set_->Epoch();
     bool progressed = false;
 
-    // 1) Completed cross-validation verdicts (appliers mutate run
+    // 1) Completed cross-validation verdicts (appliers mutate stream
     //    state, so they execute here, on the monitor thread).
     while (auto apply = pool.TryPopCompleted()) {
       if (*apply) (*apply)();
@@ -2155,40 +2093,22 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
       m_.verify_queue_depth_hwm->Set(qdepth);
     }
 
-    // 1b) Sliding-window GC (feed mode): a completed batch's state is
-    //     reclaimed once no verify job can still read it. Late frames
-    //     for reclaimed ids are dropped by handle_result's guard.
-    while (feed != nullptr && !bs.empty() && bs.front().complete &&
-           bs.front().jobs_inflight == 0) {
-      bs.pop_front();
-      ++window_base;
-    }
+    // 1b) Reclaim every completed batch that no verify job reads and
+    //     that owes no report.
+    std::erase_if(bs, [](const auto& entry) {
+      const BatchState& state = entry.second;
+      return state.complete && state.jobs_inflight == 0 && state.owed == 0;
+    });
 
-    // 2) Deferred sequential admission: its own top-level event (never
-    //    nested inside the result event that completed the previous
-    //    batch — that would clobber the virtual-time bases).
-    if (feed == nullptr && !pipelined && run_error.ok() &&
-        admitted < num_batches && completed == admitted) {
-      admit(admitted, batches[admitted]);
-      progressed = true;
-    }
-
-    // 2a) Feed refill: continuous admission — pull scheduler-formed
-    //     work into every free pipeline slot (its own top-level
-    //     virtual-time event per admission, like 2).
-    if (feed != nullptr && run_error.ok()) {
+    // 2) Refill: pull scheduler-formed work into every free pipeline
+    //    slot (each admission its own top-level virtual-time event).
+    if (run_error.ok()) {
       const size_t inflight = admitted - completed;
-      if (inflight < feed->max_inflight) {
+      if (inflight < feed.max_inflight) {
         std::vector<std::vector<Tensor>> fresh;
-        const size_t got =
-            feed->refill(feed->max_inflight - inflight, &fresh);
-        for (size_t i = 0; i < got; ++i) {
-          (void)next_batch_id_.fetch_add(1);  // == base + admitted
-          const size_t b = admitted;          // admit() advances it
-          bs.emplace_back();
-          trace_ids.push_back(obs::NewTraceId());
-          rstats.batch_verify_us.push_back(0);
-          admit(b, fresh[i]);
+        feed.refill(feed.max_inflight - inflight, &fresh);
+        for (const auto& inputs : fresh) {
+          admit(inputs);
           progressed = true;
         }
       }
@@ -2272,8 +2192,11 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
       idle_deadline = util::NowMicros() + config_.recv_timeout_us;
     } else if (run_error.ok()) {
       const int64_t now = util::NowMicros();
-      if (feed != nullptr && completed == admitted &&
-          pool.pending() == 0) {
+      if (release_silent(now)) {
+        idle_deadline = now + config_.recv_timeout_us;
+        continue;
+      }
+      if (completed == admitted && pool.pending() == 0 && owed_total == 0) {
         // An idle stream owes nothing: waiting for work is not a
         // variant stall.
         idle_deadline = now + config_.recv_timeout_us;
@@ -2286,28 +2209,17 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
         // (and the supervisor, if any) take it from there. Fast-path
         // stages have no panel to absorb the loss — they still abort.
         bool classified = false;
-        if (config_.reaction.kind != ReactionKind::kAbort &&
-            !config_.direct_fastpath) {
-          for (size_t b = window_base; b < admitted && run_error.ok();
-               ++b) {
-            BatchState& state = bat(b);
-            if (state.complete || state.masks.empty()) continue;
+        if (config_.reaction.kind != ReactionKind::kAbort) {
+          for (auto& [b, state] : bs) {
+            if (state.complete) continue;
             for (size_t s = 0; s < num_stages && run_error.ok(); ++s) {
-              if (!stages_[s].is_mvx()) continue;
-              if (state.voted.count(s)) continue;
-              if (stage_feed_count_[s] == 0 ||
+              if (!stages_[s].is_mvx() || state.voted.count(s) ||
                   state.feeds_done[s] < stage_feed_count_[s]) {
-                continue;  // inputs not dispatched: nothing is owed
+                continue;  // decided, or inputs not all dispatched
               }
-              const size_t kk = stages_[s].variants.size();
-              for (size_t vi = 0; vi < kk && run_error.ok(); ++vi) {
-                if (state.masks[s][vi] != 1) continue;
-                const auto pit = state.reports.find(s);
-                if (pit != state.reports.end() &&
-                    vi < pit->second.size() &&
-                    pit->second[vi].has_value()) {
-                  continue;  // already settled
-                }
+              for (size_t vi = 0;
+                   vi < stages_[s].variants.size() && run_error.ok(); ++vi) {
+                if (!state.owes[s][vi] || state.masks[s][vi] != 1) continue;
                 event_vbase = vclock_us_;
                 handling_cpu0 = util::ThreadCpuMicros();
                 send_cpu_excluded = 0;
@@ -2328,21 +2240,15 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
         }
         run_error = util::DeadlineExceeded(
             "no variant progress within recv_timeout (" +
-            std::to_string(completed) + "/" +
-            std::to_string(feed != nullptr ? admitted : num_batches) +
+            std::to_string(completed) + "/" + std::to_string(admitted) +
             " batches complete)");
         break;
       }
       int64_t slice = idle_deadline - now;
-      if (options.deadline_us > 0) {
-        slice = std::min(slice, options.deadline_us - (now - wall_start));
-      }
-      if (feed != nullptr) {
-        // Wake early for a batch-window expiry so held admissions are
-        // re-examined on time.
-        const int64_t wake = feed->next_wake_us();
-        if (wake > 0) slice = std::min(slice, wake - now);
-      }
+      // Wake early for a batch-window expiry so held admissions are
+      // re-examined on time.
+      const int64_t wake = feed.next_wake_us();
+      if (wake > 0) slice = std::min(slice, wake - now);
       // Bounded so deadline checks stay live even without events.
       slice = std::max<int64_t>(1, std::min<int64_t>(slice, 100'000));
       const int64_t wait0 = util::NowMicros();
@@ -2351,10 +2257,14 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     }
   }
   m_.verify_queue_depth->Set(0);
+  // A failed stream keeps no state: what is still owed can no longer be
+  // checked.
+  m_.unchecked_reports->Add(owed_total);
 
   // Incidents that never reached a verdict site (authentication /
   // replay failures, disconnects, deadlines) still leave evidence: one
-  // bundle for the run, attributed to the last admitted batch's trace.
+  // bundle for the stream, attributed to the last admitted batch's
+  // trace.
   if (!run_error.ok() && !evidence_dumped) {
     const auto code = run_error.code();
     const char* trigger =
@@ -2363,56 +2273,20 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
          code == util::StatusCode::kPermissionDenied)
             ? "auth-failure"
             : "run-abort";
-    dump_evidence(trigger, admitted > 0 ? admitted - 1 : 0,
-                  run_error.message());
+    dump_evidence(trigger, last_trace_id, run_error.message());
   }
-  // Lifecycle-only runs (quarantines absorbed without aborting) leave a
+  // Streams whose quarantines were absorbed without aborting leave a
   // bundle too: the ring holds the quarantine AND readmit/retire
   // verdicts, attributed to the first affected batch's trace.
   if (lifecycle_events && !evidence_dumped) {
-    dump_evidence("quarantine", lifecycle_trigger_batch,
-                  "variant lifecycle events (run completed)");
+    dump_evidence("quarantine", lifecycle_trigger_trace,
+                  "variant lifecycle events (stream completed)");
   }
 
-  // Merge this run into the registry (even on error: partial work shows
-  // up in the dump) and, for a one-shot group, into the ConsumeStats()
-  // latency backlog. A serving stream has no consumer for that list, so
-  // its latencies go to the histogram only.
-  rstats.wall_us = std::max<int64_t>(1, last_completion_vus - run_vstart);
-  rstats.bytes_sent = channel_bytes() - bytes0;
-  m_.wall_us->Add(static_cast<uint64_t>(rstats.wall_us));
-  m_.checkpoints_evaluated->Add(rstats.checkpoints_evaluated);
-  m_.fast_path_forwards->Add(rstats.fast_path_forwards);
-  m_.divergences->Add(rstats.divergences);
-  m_.late_divergences->Add(rstats.late_divergences);
-  m_.variant_failures->Add(rstats.variant_failures);
-  m_.bytes_sent->Add(rstats.bytes_sent);
-  m_.batches_completed->Add(rstats.batch_latency_us.size());
-  for (int64_t lat : rstats.batch_latency_us) {
-    m_.batch_latency_us->Observe(lat);
-  }
-  if (feed == nullptr) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    pending_latencies_.insert(pending_latencies_.end(),
-                              rstats.batch_latency_us.begin(),
-                              rstats.batch_latency_us.end());
-  }
-  if (options.stats != nullptr) *options.stats = rstats;
-
-  MVTEE_RETURN_IF_ERROR(run_error);
-
-  // Feed-mode results were delivered per batch as they completed.
-  if (feed != nullptr) return std::vector<std::vector<Tensor>>{};
-
-  std::vector<std::vector<Tensor>> all(num_batches);
-  for (size_t b = 0; b < num_batches; ++b) {
-    for (const auto& src : model_outputs_) {
-      all[b].push_back(
-          bat(b).chosen[static_cast<size_t>(src.stage)]
-              [static_cast<size_t>(src.index)]);
-    }
-  }
-  return all;
+  m_.wall_us->Add(static_cast<uint64_t>(
+      std::max<int64_t>(1, last_completion_vus - run_vstart)));
+  m_.bytes_sent->Add(channel_bytes() - bytes0);
+  return run_error;
 }
 
 util::Status Monitor::Shutdown() {
@@ -2449,8 +2323,7 @@ RunStats Monitor::ConsumeStats() {
   out.variant_failures =
       now.variant_failures - consumed_base_.variant_failures;
   out.bytes_sent = now.bytes_sent - consumed_base_.bytes_sent;
-  out.batch_latency_us = std::move(pending_latencies_);
-  pending_latencies_.clear();
+  out.batch_latency_us = std::exchange(pending_latency_, {});
   consumed_base_ = now;
   return out;
 }
@@ -2458,6 +2331,42 @@ RunStats Monitor::ConsumeStats() {
 std::vector<Monitor::Binding> Monitor::bindings() const {
   std::lock_guard<std::mutex> lock(bindings_mu_);
   return bindings_;
+}
+
+util::Result<std::vector<std::vector<Tensor>>> RunBatches(
+    Monitor& monitor, const std::vector<std::vector<Tensor>>& batches,
+    bool pipelined) {
+  if (batches.empty()) return std::vector<std::vector<Tensor>>{};
+  ServiceConfig config;
+  config.scheduler.max_batch = pipelined ? batches.size() : 1;
+  config.admission_queue_max = batches.size();
+  monitor.StopService();
+  MVTEE_RETURN_IF_ERROR(monitor.StartService(config));
+  util::Status status = util::OkStatus();
+  std::vector<std::future<InferenceResponse>> replies;
+  if (auto session = monitor.OpenSession(); !session.ok()) {
+    status = session.status();
+  } else {
+    for (const auto& inputs : batches) {
+      InferenceRequest request;
+      request.inputs = inputs;
+      auto reply = (*session)->Submit(std::move(request));
+      if (!reply.ok()) {
+        status = reply.status();
+        break;
+      }
+      replies.push_back(std::move(*reply));
+    }
+  }
+  std::vector<std::vector<Tensor>> outputs;
+  for (auto& reply : replies) {
+    InferenceResponse response = reply.get();
+    if (status.ok()) status = response.status;
+    outputs.push_back(std::move(response.outputs));
+  }
+  monitor.StopService();
+  MVTEE_RETURN_IF_ERROR(status);
+  return outputs;
 }
 
 }  // namespace mvtee::core

@@ -10,16 +10,18 @@
 //  - the slow/fast path design (Fig. 7): stages with several active
 //    variants take the slow path (checkpoint sync + vote at the
 //    monitor); single-variant stages take the fast path, optionally with
-//    direct variant-to-variant channels that bypass the monitor
-//    entirely (`direct_fastpath`);
+//    direct variant-to-variant channels between two single-variant
+//    stages that bypass the monitor (`direct_fastpath`);
 //  - selective MVX (vertical/horizontal scaling of the MVX config);
 //  - sync and asynchronous cross-validation execution modes (Fig. 8);
-//  - sequential and pipelined batch execution;
+//  - a long-lived request loop that pipelines admitted requests and
+//    cross-checks every async straggler within a bounded lag;
 //  - divergence reaction (ReactionPolicy: abort, continue-with-winner,
 //    or quarantine + attested re-bootstrap via the lifecycle
 //    supervisor) and statistics.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <future>
@@ -55,8 +57,9 @@ struct MonitorConfig {
   // run, continue with the winner, or quarantine + re-bootstrap the
   // dissenting variant (full recovery loop — see reaction_policy.h).
   ReactionPolicy reaction = ReactionPolicy::Abort();
-  // Fast-path stages stream outputs directly to the next partition's
-  // variants over dedicated secure channels instead of via the monitor.
+  // A fast-path stage streams its outputs to a single-variant next
+  // partition over a dedicated secure channel instead of via the
+  // monitor. The monitor still feeds every MVX panel.
   bool direct_fastpath = false;
   // Force the slow path on single-variant stages: the monitor suspends
   // at every checkpoint and evaluates the outputs against predefined
@@ -121,13 +124,28 @@ struct MvxSelection {
   };
 };
 
+// Count, sum and range of virtual-time batch latencies.
+struct LatencySummary {
+  uint64_t count = 0;
+  int64_t sum_us = 0;
+  int64_t min_us = 0;
+  int64_t max_us = 0;
+
+  void Add(int64_t us) {
+    min_us = count == 0 ? us : std::min(min_us, us);
+    max_us = count == 0 ? us : std::max(max_us, us);
+    sum_us += us;
+    ++count;
+  }
+};
+
 struct RunStats {
   int64_t wall_us = 0;
-  std::vector<int64_t> batch_latency_us;
-  // Cross-validation CPU attributed per batch (admission order, one
-  // slot per batch of the run). Feeds the per-request verify phase of
-  // the latency breakdown; not part of ConsumeStats deltas.
-  std::vector<int64_t> batch_verify_us;
+  // Every batch completed since the last consume. A batch's latency is
+  // vcomplete - max(admit_vus, previous completion): per-batch latency
+  // when batches run one at a time, the inter-completion interval when
+  // they are admitted together.
+  LatencySummary batch_latency_us;
   uint64_t checkpoints_evaluated = 0;  // slow-path votes
   uint64_t fast_path_forwards = 0;     // unverified stage traversals
   uint64_t divergences = 0;            // dissent observed at a checkpoint
@@ -136,49 +154,23 @@ struct RunStats {
   uint64_t bytes_sent = 0;             // monitor -> variants (wire)
 
   double ThroughputPerSec() const {
-    if (wall_us <= 0 || batch_latency_us.empty()) return 0.0;
-    return static_cast<double>(batch_latency_us.size()) * 1e6 /
+    if (wall_us <= 0 || batch_latency_us.count == 0) return 0.0;
+    return static_cast<double>(batch_latency_us.count) * 1e6 /
            static_cast<double>(wall_us);
   }
   double MeanLatencyUs() const {
-    if (batch_latency_us.empty()) return 0.0;
-    int64_t sum = 0;
-    for (int64_t v : batch_latency_us) sum += v;
-    return static_cast<double>(sum) /
-           static_cast<double>(batch_latency_us.size());
+    if (batch_latency_us.count == 0) return 0.0;
+    return static_cast<double>(batch_latency_us.sum_us) /
+           static_cast<double>(batch_latency_us.count);
   }
-};
-
-// Per-call options for Monitor::Run — the batch-vector compatibility
-// wrapper over the long-lived request loop (see Session below).
-struct RunOptions {
-  // false: batches admitted strictly one after another (next admitted
-  // only once the previous completed). true: all batches streamed
-  // through the pipeline simultaneously.
-  bool pipelined = false;
-  // Per-call wall-clock budget for the whole run, microseconds. 0 =
-  // unbounded (the config's idle recv_timeout_us still applies either
-  // way). Exceeding it fails the run with kDeadlineExceeded.
-  int64_t deadline_us = 0;
-  // Optional stats-snapshot handle: filled with this call's own stats
-  // (a per-run delta) without consuming the monitor's cumulative
-  // stats — ConsumeStats() is unaffected.
-  RunStats* stats = nullptr;
-  // Optional out-param: the distributed-trace id minted for each batch
-  // (admission order). Lets the request loop hand trace-id exemplars
-  // back to per-request timelines.
-  std::vector<uint64_t>* trace_ids = nullptr;
 };
 
 // ---- long-lived request API (service front end, DESIGN.md §11) ----
 //
 // The monitor's execution engine is driven by a single service loop:
 // clients open Sessions and Submit individual requests; the loop admits
-// queued requests in coalesced pipelined groups through the MVX
-// pipeline. Monitor::Run(batches) is a thin compatibility wrapper that
-// opens an internal session, submits the whole batch vector as one
-// admission group, and drains it — byte-identical semantics to the old
-// one-shot entry point.
+// queued requests into free pipeline slots. RunBatches (below) is the
+// batch-vector helper tests and benches build on it.
 
 // One inference request: a single model-input batch plus scheduling
 // metadata (tenant / priority / model routing) and an optional
@@ -224,11 +216,11 @@ struct InferenceResponse {
 struct ServiceConfig {
   // Submissions queued beyond this bound are rejected with
   // kAdmissionRejected (bounded backpressure; counted in
-  // service.rejected_total). Legacy Run() groups are exempt — they
-  // carry their own caller-side flow control.
+  // service.rejected_total).
   size_t admission_queue_max = 64;
-  // Batch formation: continuous admission, max concurrent pipeline
-  // slots, batch window, per-tenant quota/weights, EDF.
+  // Batch formation: max concurrent pipeline slots (also each async
+  // panel member's lag budget), batch window, per-tenant quota/weights,
+  // EDF.
   SchedulerConfig scheduler;
 };
 
@@ -303,41 +295,25 @@ class Monitor {
                           const MvxSelection& selection, VariantHost& host);
 
   // Starts the long-lived request loop (idempotent; requires an
-  // initialized monitor). Run() and OpenSession() start it lazily with
-  // a default ServiceConfig when needed.
+  // initialized monitor). The MVTEE_SCHED_* knobs apply on top of
+  // `config.scheduler`.
   util::Status StartService(const ServiceConfig& config = ServiceConfig{});
 
   // Stops the request loop: still-queued requests fail with
-  // kUnavailable, in-flight groups finish, the loop thread joins.
-  // Idempotent; implied by Initialize/UpdateStage/FullUpdate/Shutdown
-  // so reconfiguration always sees a quiesced pipeline.
+  // kUnavailable, in-flight requests finish, and every report owed by
+  // an async panel member is cross-checked (or released once it can no
+  // longer arrive, at most recv_timeout_us later); then the loop thread
+  // joins. Idempotent; implied by Initialize/UpdateStage/FullUpdate/
+  // Shutdown so reconfiguration always sees a quiesced pipeline.
+  //
+  // StartService/StopService/OpenSession are control-plane calls: drive
+  // them from one thread. Session::Submit on open sessions is safe from
+  // any thread.
   void StopService();
 
   // Opens a session against the request loop. Sessions may outlive a
   // stopped service (their Submits then fail with kUnavailable).
   util::Result<std::unique_ptr<Session>> OpenSession();
-
-  // DEPRECATED compatibility wrapper over the request loop — use
-  // OpenSession() + Session::Submit instead (README has the old→new
-  // migration table). Kept one release for existing callers; new code
-  // and all in-tree examples/benches use the session API.
-  //
-  // Opens an internal session, submits `batches` as ONE admission
-  // group executed exactly like the old one-shot call (same options,
-  // same stats), and drains.
-  //
-  //   Run({inputs})                                  — one batch
-  //   Run(batches)                                   — sequential: each
-  //     batch admitted only once the previous one completed
-  //   Run(batches, RunOptions{.pipelined = true})    — all batches
-  //     streamed through the pipeline simultaneously
-  //
-  // StartService/StopService/OpenSession/Run are control-plane calls:
-  // drive them from one thread. Session::Submit on open sessions is
-  // safe from any thread.
-  util::Result<std::vector<std::vector<tensor::Tensor>>> Run(
-      const std::vector<std::vector<tensor::Tensor>>& batches,
-      const RunOptions& options = RunOptions{});
 
   util::Status Shutdown();
 
@@ -347,11 +323,12 @@ class Monitor {
   struct ServiceStatusSnapshot {
     bool running = false;    // loop thread alive
     bool accepting = false;  // admitting new submits
-    size_t queue_depth = 0;  // queued (non-legacy) submits
+    size_t queue_depth = 0;  // queued submits
     size_t queue_max = 0;
-    size_t max_batch = 0;    // concurrent pipeline slots (scheduler)
+    // Concurrent pipeline slots (scheduler); also the lag budget: the
+    // reports an async panel member may owe before it skips a batch.
+    size_t max_batch = 0;
     // Scheduler policy in force (for /status).
-    bool continuous = false;
     bool edf = false;
     int64_t batch_window_us = 0;
     int tenant_quota_pct = 100;
@@ -365,9 +342,8 @@ class Monitor {
   ServiceStatusSnapshot ServiceStatus();
 
   // Snapshot-and-reset of the cumulative run statistics, sourced from
-  // the metrics registry (delta since the previous consume).
-  // batch_latency_us lists the batches of Run() calls only; requests
-  // served through sessions appear in monitor.batch_latency_us.
+  // the metrics registry (delta since the previous consume), plus the
+  // latency summary of every batch completed since then.
   RunStats ConsumeStats();
   // Registry every monitor metric is recorded into (process default).
   obs::Registry& metrics() const { return *metrics_; }
@@ -440,12 +416,10 @@ class Monitor {
   // inactive (the replacement is appended by BindVariant).
   void DeactivateBinding(int32_t stage, const std::string& variant_id);
 
-  // Continuous-feed hooks for RunStream: when non-null, the stream
-  // starts empty and pulls work from the feed whenever a pipeline slot
-  // frees, delivering each batch's result as soon as it completes (no
-  // full-queue barrier). Completed batch state is garbage-collected
-  // behind a sliding window. Legacy Run() passes run with feed ==
-  // nullptr and keep their one-shot semantics.
+  // Feed hooks for RunStream: the stream starts empty and pulls work
+  // from the feed whenever a pipeline slot frees, delivering each
+  // batch's result as soon as it completes. A completed batch's state
+  // is reclaimed once no verify job reads it and no report is owed.
   struct StreamFeed {
     // Concurrent pipeline slots (SchedulerConfig::max_batch).
     size_t max_inflight = 1;
@@ -461,29 +435,24 @@ class Monitor {
                        int64_t verify_us, uint64_t trace_id)>
         deliver;
     // True once the stream should stop pulling and return when the
-    // last inflight batch drains (service stopping, legacy group at
-    // the queue head, or the queue went idle).
+    // last inflight batch drains and no report is owed (service
+    // stopping, or the queue went idle).
     std::function<bool()> quiesce;
     // Earliest absolute wall time the feed wants a refill poll (batch
     // window expiry); 0 = none.
     std::function<int64_t()> next_wake_us;
   };
 
-  // The event-driven engine behind the request loop: one admission
-  // group = one call (feed == nullptr), or one long-lived continuous
-  // serving stream (feed != nullptr).
-  util::Result<std::vector<std::vector<tensor::Tensor>>> RunStream(
-      const std::vector<std::vector<tensor::Tensor>>& batches,
-      const RunOptions& options, StreamFeed* feed = nullptr);
+  // The event-driven engine behind the request loop: one serving
+  // stream. Returns its terminal status (OK on a clean quiesce).
+  util::Status RunStream(StreamFeed& feed);
 
-  // The request loop body (service thread): runs continuous serving
-  // streams (scheduler-formed batches through RunStream's feed hooks)
-  // and interleaves exclusive legacy Run() passes.
+  // The request loop body (service thread): runs serving streams
+  // (scheduler-formed batches through RunStream's feed hooks).
   void ServiceLoop();
 
-  // One continuous serving stream: admits scheduler-formed requests
-  // until quiesced (stop / legacy barrier / idle queue). Returns the
-  // stream's terminal status (OK on a clean quiesce).
+  // One serving stream: admits scheduler-formed requests until
+  // quiesced (stop / idle queue). Returns the stream's terminal status.
   util::Status ServeStream(BatchFormer& former);
 
   // Resolves the monitor-level and per-stage metric instruments.
@@ -528,17 +497,20 @@ class Monitor {
 
   // Observability: all monitor counters live in the metrics registry;
   // ConsumeStats() reads them as a delta against `consumed_base_`.
-  // Per-batch latencies additionally keep an exact per-run list (the
-  // registry histogram only retains aggregates).
   obs::Registry* metrics_ = &obs::Registry::Default();
   struct MonitorMetrics {
     obs::Counter* checkpoints_evaluated = nullptr;
     obs::Counter* fast_path_forwards = nullptr;
     obs::Counter* divergences = nullptr;
     obs::Counter* late_divergences = nullptr;
-    // MVX-panel reports dropped because their batch's state was already
-    // reclaimed: async stragglers a serving stream never cross-checks.
+    // Owed MVX-panel reports released because they can no longer
+    // arrive (member quarantined, retired, or silent for
+    // recv_timeout_us; or the stream failed): never cross-checked and
+    // never judged as dissent.
     obs::Counter* unchecked_reports = nullptr;
+    // Batches a lagging async panel member skipped: it already owed
+    // max_batch reports when the batch first reached its stage.
+    obs::Counter* unsampled_batches = nullptr;
     obs::Counter* variant_failures = nullptr;
     obs::Counter* bytes_sent = nullptr;
     obs::Counter* wall_us = nullptr;
@@ -571,9 +543,8 @@ class Monitor {
   };
   MonitorMetrics m_{};
   mutable std::mutex stats_mu_;
-  // Batch latencies of one-shot Run() groups since the last
-  // ConsumeStats; serving streams record to the histogram only.
-  std::vector<int64_t> pending_latencies_;
+  // Latencies of batches completed since the last ConsumeStats.
+  LatencySummary pending_latency_;
   RunStats consumed_base_;                  // counter values at last consume
   std::atomic<uint64_t> next_batch_id_{0};
 
@@ -601,5 +572,18 @@ class Monitor {
   bool service_running_ = false;
   ServiceConfig service_config_;
 };
+
+// Runs `batches` through the request loop and returns their outputs in
+// order, or the status of the first failed reply. Restarts the service
+// with max_batch = pipelined ? batches.size() : 1 (every batch admitted
+// at once, or each only after the previous one completed) and
+// admission_queue_max = batches.size(), submits everything through one
+// session, and stops the service again, so each report owed to these
+// batches has been cross-checked or released when it returns. The
+// pacing assumes MVTEE_SCHED_MAX_BATCH is unset. A test and bench
+// helper; serving code uses sessions directly.
+util::Result<std::vector<std::vector<tensor::Tensor>>> RunBatches(
+    Monitor& monitor, const std::vector<std::vector<tensor::Tensor>>& batches,
+    bool pipelined = false);
 
 }  // namespace mvtee::core

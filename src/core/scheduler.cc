@@ -28,11 +28,6 @@ SchedulerConfig::Builder& SchedulerConfig::Builder::Edf(bool on) {
   return *this;
 }
 
-SchedulerConfig::Builder& SchedulerConfig::Builder::Continuous(bool on) {
-  config_.continuous = on;
-  return *this;
-}
-
 SchedulerConfig::Builder& SchedulerConfig::Builder::TenantWeight(
     const std::string& tenant, uint32_t weight) {
   config_.tenant_weights[tenant] = std::max<uint32_t>(1, weight);

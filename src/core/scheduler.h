@@ -71,10 +71,6 @@ struct SchedulerConfig {
   // Earliest-deadline-first ordering (false = arrival order within a
   // tenant; cross-tenant WFQ applies either way).
   bool edf = true;
-  // Admit into free slots as soon as they open. false restores the
-  // PR 6 drain barrier (a new group forms only when the pipeline is
-  // empty) — kept for A/B benchmarking and migration.
-  bool continuous = true;
   // WFQ weight per tenant (default 1). A weight-3 tenant receives 3x
   // the slots of a weight-1 tenant under contention.
   std::map<std::string, uint32_t> tenant_weights;
@@ -92,7 +88,6 @@ class SchedulerConfig::Builder {
   Builder& BatchWindowUs(int64_t us);
   Builder& TenantQuotaPct(int pct);
   Builder& Edf(bool on);
-  Builder& Continuous(bool on);
   Builder& TenantWeight(const std::string& tenant, uint32_t weight);
   SchedulerConfig Build() const { return config_; }
 

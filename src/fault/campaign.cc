@@ -65,7 +65,7 @@ util::Result<CampaignReport> RunVulnerabilityCampaign(
       inputs.push_back(
           Tensor::RandomUniform(model.input_shape(in), rng, -1.0f, 1.0f));
     }
-    auto out = monitor->Run({inputs});
+    auto out = core::RunBatches(*monitor, {inputs});
     if (out.ok()) {
       ++completed;
       MVTEE_ASSIGN_OR_RETURN(auto expected, reference->Run(inputs));
@@ -142,10 +142,10 @@ util::Result<LifecycleCampaignReport> RunLifecycleCampaign(
       inputs.push_back(
           Tensor::RandomUniform(model.input_shape(in), rng, -1.0f, 1.0f));
     }
-    // One batch per Run call: the supervisor's quarantine/rebootstrap/
+    // One batch per call: the supervisor's quarantine/rebootstrap/
     // probation machinery spans calls (it lives on the monitor), and the
     // per-call verdict tells us exactly which batch aborted, if any.
-    auto out = monitor->Run({inputs});
+    auto out = core::RunBatches(*monitor, {inputs});
     if (!out.ok()) {
       report.aborted = true;
       report.abort_message = out.status().ToString();

@@ -68,7 +68,7 @@ struct LifecycleCampaignOptions {
 struct LifecycleCampaignReport {
   bool fault_fired = false;
   int completed_batches = 0;
-  bool aborted = false;  // any Run() returned an error
+  bool aborted = false;  // any batch returned an error
   std::string abort_message;
   // Supervisor totals after the run.
   uint64_t quarantines = 0;

@@ -215,7 +215,6 @@ AdminServer::HttpResponse AdminServer::Status() {
 
   // Scheduler policy in force plus its live counters (DESIGN.md §13).
   obs::JsonValue::Object sched;
-  sched.emplace_back("continuous", status.continuous);
   sched.emplace_back("edf", status.edf);
   sched.emplace_back("max_batch", static_cast<uint64_t>(status.max_batch));
   sched.emplace_back("batch_window_us", status.batch_window_us);
@@ -227,6 +226,17 @@ AdminServer::HttpResponse AdminServer::Status() {
       "deadline_misses",
       reg.GetCounter("scheduler.deadline_misses_total").value());
   svc.emplace_back("scheduler", std::move(sched));
+  // Async cross-check coverage (DESIGN.md §6): a panel member owing
+  // lag_budget reports skips the next batch (unsampled_batches); an owed
+  // report that can no longer arrive is released unchecked.
+  obs::JsonValue::Object cross;
+  cross.emplace_back("lag_budget", static_cast<uint64_t>(status.max_batch));
+  for (const char* name :
+       {"unsampled_batches", "unchecked_reports", "late_divergences"}) {
+    cross.emplace_back(name,
+                       reg.GetCounter(std::string("monitor.") + name).value());
+  }
+  svc.emplace_back("cross_check", std::move(cross));
   obs::JsonValue::Array sessions;
   for (const auto& s : status.sessions) {
     obs::JsonValue::Object sess;

@@ -52,7 +52,7 @@ class InferenceService {
 
   // Closes the listener and every live session channel, then joins all
   // service threads. Does NOT stop the monitor's request loop (other
-  // frontends/Run() callers may still use it). Idempotent.
+  // frontends or in-process sessions may still use it). Idempotent.
   void Stop();
 
   // Session threads not yet joined: live sessions plus any that ended

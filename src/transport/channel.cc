@@ -137,6 +137,19 @@ util::Result<util::PooledBuffer> Endpoint::RecvPooled(int64_t timeout_us) {
   return rx_->Pop(timeout_us);
 }
 
+Endpoint& Endpoint::operator=(Endpoint&& other) noexcept {
+  if (this != &other) {
+    Close();
+    tx_ = std::move(other.tx_);
+    rx_ = std::move(other.rx_);
+    cost_ = other.cost_;
+    interceptor_ = std::move(other.interceptor_);
+    bytes_sent_ = other.bytes_sent_;
+    frames_sent_ = other.frames_sent_;
+  }
+  return *this;
+}
+
 void Endpoint::Close() {
   if (tx_) tx_->Close();
   if (rx_) rx_->Close();

@@ -117,9 +117,17 @@ class MessageQueue {
 using Interceptor =
     std::function<std::optional<util::Bytes>(const util::Bytes&)>;
 
+// One end of a duplex channel. Move-only: an Endpoint owns its end, and
+// destroying (or overwriting) it closes both queues, so the peer reads
+// kUnavailable ("peer closed") at once instead of waiting out a timeout.
 class Endpoint {
  public:
   Endpoint() = default;
+  ~Endpoint() { Close(); }
+  Endpoint(const Endpoint&) = delete;
+  Endpoint& operator=(const Endpoint&) = delete;
+  Endpoint(Endpoint&&) noexcept = default;
+  Endpoint& operator=(Endpoint&& other) noexcept;
 
   // Sends one frame (applies cost model + interceptor). Copies `frame`
   // into a fresh buffer; the zero-copy path is SendPooled.

@@ -24,11 +24,10 @@ using tensor::MaxAbsDiff;
 using tensor::Shape;
 using tensor::Tensor;
 
-// One-batch convenience over the unified Run() surface (replaces the
-// removed RunBatch wrapper): returns the single batch's outputs.
+// One-batch convenience over RunBatches: returns the batch's outputs.
 util::Result<std::vector<Tensor>> RunOne(Monitor& m,
                                          const std::vector<Tensor>& inputs) {
-  auto all = m.Run({inputs});
+  auto all = RunBatches(m, {inputs});
   if (!all.ok()) return all.status();
   return std::move((*all)[0]);
 }
@@ -351,7 +350,7 @@ TEST_F(MvteeSystemTest, SequentialMultipleBatches) {
   for (int i = 0; i < 4; ++i) {
     batches.push_back({Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
   }
-  auto outs = monitor_->Run(batches);
+  auto outs = RunBatches(*monitor_, batches);
   ASSERT_TRUE(outs.ok()) << outs.status().ToString();
   ASSERT_EQ(outs->size(), 4u);
   for (size_t i = 0; i < 4; ++i) {
@@ -359,7 +358,7 @@ TEST_F(MvteeSystemTest, SequentialMultipleBatches) {
     EXPECT_GT(tensor::CosineSimilarity((*outs)[i][0], expected[0]), 0.999);
   }
   auto stats = monitor_->ConsumeStats();
-  EXPECT_EQ(stats.batch_latency_us.size(), 4u);
+  EXPECT_EQ(stats.batch_latency_us.count, 4u);
   EXPECT_GT(stats.wall_us, 0);
   EXPECT_GT(stats.bytes_sent, 0u);
 }
@@ -371,7 +370,7 @@ TEST_F(MvteeSystemTest, PipelinedMatchesSequential) {
   for (int i = 0; i < 6; ++i) {
     batches.push_back({Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
   }
-  auto pipelined = monitor_->Run(batches, RunOptions{.pipelined = true});
+  auto pipelined = RunBatches(*monitor_, batches, /*pipelined=*/true);
   ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
   ASSERT_EQ(pipelined->size(), 6u);
   for (size_t i = 0; i < 6; ++i) {
@@ -505,7 +504,7 @@ TEST_F(MvteeSystemTest, AsyncModeProducesSameResults) {
   for (int i = 0; i < 4; ++i) {
     batches.push_back({Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
   }
-  auto outs = monitor_->Run(batches);
+  auto outs = RunBatches(*monitor_, batches);
   ASSERT_TRUE(outs.ok()) << outs.status().ToString();
   for (size_t i = 0; i < batches.size(); ++i) {
     auto expected = ReferenceRun(batches[i]);
@@ -632,7 +631,7 @@ TEST_F(MvteeSystemTest, DirectFastPathPipelined) {
   for (int i = 0; i < 5; ++i) {
     batches.push_back({Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
   }
-  auto outs = monitor_->Run(batches, RunOptions{.pipelined = true});
+  auto outs = RunBatches(*monitor_, batches, /*pipelined=*/true);
   ASSERT_TRUE(outs.ok()) << outs.status().ToString();
   for (size_t i = 0; i < batches.size(); ++i) {
     auto expected = ReferenceRun(batches[i]);
@@ -737,7 +736,7 @@ TEST_F(MvteeSystemTest, BuilderSelectionRunsEndToEnd) {
 
   util::Rng rng(20);
   auto input = Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng);
-  auto out = monitor_->Run({{input}});
+  auto out = RunBatches(*monitor_, {{input}});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   auto expected = ReferenceRun({input});
   EXPECT_GT(tensor::CosineSimilarity((*out)[0][0], expected[0]), 0.999);
@@ -746,7 +745,7 @@ TEST_F(MvteeSystemTest, BuilderSelectionRunsEndToEnd) {
   EXPECT_EQ(stats.fast_path_forwards, 2u);
 }
 
-// ---------------------------------------------- Monitor::Run options
+// ------------------------------------------------- run metrics
 
 TEST_F(MvteeSystemTest, RunRecordsPerStageMetrics) {
   Boot(2, 2, MonitorConfig{});
@@ -757,16 +756,9 @@ TEST_F(MvteeSystemTest, RunRecordsPerStageMetrics) {
   for (int i = 0; i < 2; ++i) {
     batches.push_back({Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
   }
-  RunStats stats;
-  auto outs = monitor_->Run(batches, RunOptions{.stats = &stats});
+  auto outs = RunBatches(*monitor_, batches);
   ASSERT_TRUE(outs.ok()) << outs.status().ToString();
   ASSERT_EQ(outs->size(), 2u);
-
-  // The per-call stats handle reflects just this run.
-  EXPECT_EQ(stats.batch_latency_us.size(), 2u);
-  EXPECT_EQ(stats.checkpoints_evaluated, 4u);  // 2 stages x 2 batches
-  EXPECT_GT(stats.wall_us, 0);
-  EXPECT_GT(stats.bytes_sent, 0u);
 
   const obs::RegistrySnapshot delta =
       monitor_->metrics().Snapshot().DeltaSince(base);
@@ -779,22 +771,6 @@ TEST_F(MvteeSystemTest, RunRecordsPerStageMetrics) {
   // Both stage boundaries carried payload bytes.
   EXPECT_GT(delta.counters.at("monitor.stage0.bytes"), 0u);
   EXPECT_GT(delta.counters.at("monitor.stage1.bytes"), 0u);
-
-  // The stats handle is a snapshot, not a consume: the cumulative
-  // ConsumeStats() still reports the same run.
-  EXPECT_EQ(monitor_->ConsumeStats().checkpoints_evaluated, 4u);
-}
-
-TEST_F(MvteeSystemTest, RunEnforcesDeadline) {
-  Boot(3, 3, MonitorConfig{});
-  util::Rng rng(18);
-  std::vector<std::vector<Tensor>> batches;
-  for (int i = 0; i < 3; ++i) {
-    batches.push_back({Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
-  }
-  auto outs = monitor_->Run(batches, RunOptions{.deadline_us = 1});
-  ASSERT_FALSE(outs.ok());
-  EXPECT_EQ(outs.status().code(), util::StatusCode::kDeadlineExceeded);
 }
 
 TEST_F(MvteeSystemTest, BindingsRecordAttestation) {

@@ -19,11 +19,10 @@ using graph::NodeId;
 using tensor::Shape;
 using tensor::Tensor;
 
-// One-batch convenience over the unified Run() surface (replaces the
-// removed RunBatch wrapper): returns the single batch's outputs.
+// One-batch convenience over RunBatches: returns the batch's outputs.
 util::Result<std::vector<Tensor>> RunOne(Monitor& m,
                                          const std::vector<Tensor>& inputs) {
-  auto all = m.Run({inputs});
+  auto all = RunBatches(m, {inputs});
   if (!all.ok()) return all.status();
   return std::move((*all)[0]);
 }

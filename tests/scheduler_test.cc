@@ -44,14 +44,12 @@ TEST(SchedulerConfigTest, BuilderIsFluentAndClamps) {
                                   .BatchWindowUs(-5)    // clamped to 0
                                   .TenantQuotaPct(250)  // clamped to 100
                                   .Edf(false)
-                                  .Continuous(false)
                                   .TenantWeight("gold", 0)  // clamped to 1
                                   .Build();
   EXPECT_EQ(cfg.max_batch, 1u);
   EXPECT_EQ(cfg.batch_window_us, 0);
   EXPECT_EQ(cfg.tenant_quota_pct, 100);
   EXPECT_FALSE(cfg.edf);
-  EXPECT_FALSE(cfg.continuous);
   EXPECT_EQ(cfg.tenant_weights.at("gold"), 1u);
 }
 

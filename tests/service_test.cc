@@ -1,7 +1,7 @@
 // Service front end tests (DESIGN.md §11): attested session
 // establishment, per-session key isolation and sequence spaces,
-// admission backpressure, deadlines, and the Run() compatibility
-// wrapper over the long-lived request loop.
+// admission backpressure, deadlines, and the RunBatches helper over the
+// long-lived request loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,6 +50,7 @@ using core::MonitorConfig;
 using core::MvxSelection;
 using core::OfflineBundle;
 using core::OfflineOptions;
+using core::RunBatches;
 using core::RunOfflineTool;
 using core::VariantHost;
 using graph::Graph;
@@ -100,6 +101,44 @@ bool WaitForCounter(const obs::Counter& counter, uint64_t target,
   return true;
 }
 
+// Parks the monitor's event loop (through MonitorConfig::loop_tick_hook)
+// while closed, so requests submitted meanwhile queue up instead of
+// being admitted one by one.
+class LoopGate {
+ public:
+  std::function<void()> Hook() {
+    return [this] {
+      std::unique_lock<std::mutex> lock(mu_);
+      held_ = closed_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return !closed_; });
+      held_ = false;
+    };
+  }
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+  }
+  // Blocks until the loop is parked at the gate.
+  void WaitHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return held_; });
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_ = false;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool closed_ = false;
+  bool held_ = false;
+};
+
 // Full deployment fixture: offline tool -> host -> monitor. Wire tests
 // layer a Listener + InferenceService on top.
 class ServiceTest : public ::testing::Test {
@@ -109,7 +148,15 @@ class ServiceTest : public ::testing::Test {
     ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
     bundle_ = std::move(*bundle);
     host_ = std::make_unique<VariantHost>(&cpu_, bundle_.store);
-    auto monitor = Monitor::Create(&cpu_, MonitorConfig{});
+    Boot(MonitorConfig{});
+  }
+
+  // (Re)creates the monitor with `config` over the fixture's bundle.
+  void Boot(MonitorConfig config) {
+    if (monitor_) {
+      ASSERT_TRUE(monitor_->Shutdown().ok());
+    }
+    auto monitor = Monitor::Create(&cpu_, std::move(config));
     ASSERT_TRUE(monitor.ok());
     monitor_ = std::move(*monitor);
     auto status = monitor_->Initialize(
@@ -118,10 +165,18 @@ class ServiceTest : public ::testing::Test {
     ASSERT_TRUE(status.ok()) << status.ToString();
   }
 
+  // Recreates the monitor with its event loop behind `gate_`.
+  void BootGated() {
+    MonitorConfig config;
+    config.loop_tick_hook = gate_.Hook();
+    Boot(std::move(config));
+  }
+
   // Every stage is a 2-variant MVX panel unless a fixture says otherwise.
   virtual int variants_per_stage() const { return 2; }
 
   void TearDown() override {
+    gate_.Open();  // a failed assertion may have left the loop parked
     if (monitor_) ASSERT_TRUE(monitor_->Shutdown().ok());
     if (host_) host_->JoinAll();
   }
@@ -129,6 +184,7 @@ class ServiceTest : public ::testing::Test {
   tee::SimulatedCpu cpu_{tee::SimulatedCpu::Options{.hardware_key_seed = 3}};
   OfflineBundle bundle_;
   std::unique_ptr<VariantHost> host_;
+  LoopGate gate_;  // declared before monitor_: outlives its hook
   std::unique_ptr<Monitor> monitor_;
 };
 
@@ -145,11 +201,12 @@ TEST_F(UnpanelledServiceTest, ServedRequestsStartNoVerifyWorkers) {
   obs::Counter& started =
       monitor_->metrics().GetCounter("monitor.verify_workers_started");
   const Tensor input = TestInput();
-  auto reference = monitor_->Run({{input}});
+  auto reference = RunBatches(*monitor_, {{input}});
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   const uint64_t base = started.value();
 
   // Each request drains the queue, so each is its own serving stream.
+  ASSERT_TRUE(monitor_->StartService().ok());
   auto session = monitor_->OpenSession();
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   for (int i = 0; i < 20; ++i) {
@@ -178,9 +235,8 @@ TEST_F(ServiceTest, PanelledPipelineStartsVerifyWorkers) {
 }
 
 TEST_F(UnpanelledServiceTest, ServedRequestsLeaveNoLatencyBacklog) {
-  // Only Run() groups feed ConsumeStats().batch_latency_us; a serving
-  // stream records to the histogram alone, so 1000 served requests
-  // leave nothing behind that only ConsumeStats() would free.
+  // ConsumeStats() summarizes every completed batch as count, sum and
+  // range, so 1000 served requests leave no per-request list behind.
   ASSERT_TRUE(monitor_->StartService().ok());
   (void)monitor_->ConsumeStats();
   const obs::RegistrySnapshot base = monitor_->metrics().Snapshot();
@@ -195,20 +251,24 @@ TEST_F(UnpanelledServiceTest, ServedRequestsLeaveNoLatencyBacklog) {
   const obs::RegistrySnapshot delta =
       monitor_->metrics().Snapshot().DeltaSince(base);
   EXPECT_GE(delta.histograms.at("monitor.batch_latency_us").count, 1000u);
-  EXPECT_TRUE(monitor_->ConsumeStats().batch_latency_us.empty());
+  const core::LatencySummary served =
+      monitor_->ConsumeStats().batch_latency_us;
+  EXPECT_EQ(served.count, 1000u);
+  EXPECT_LE(served.min_us, served.max_us);
 
-  // A one-shot Run() group still reports its latencies.
-  ASSERT_TRUE(monitor_->Run({{input}, {input}}).ok());
-  EXPECT_EQ(monitor_->ConsumeStats().batch_latency_us.size(), 2u);
+  // RunBatches completions land in the same summary.
+  ASSERT_TRUE(RunBatches(*monitor_, {{input}, {input}}).ok());
+  EXPECT_EQ(monitor_->ConsumeStats().batch_latency_us.count, 2u);
 }
 
 // ------------------------------------------------ in-process sessions
 
 TEST_F(ServiceTest, SessionSubmitMatchesRunWrapper) {
   const Tensor input = TestInput();
-  auto direct = monitor_->Run({{input}});
+  auto direct = RunBatches(*monitor_, {{input}});
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
+  ASSERT_TRUE(monitor_->StartService().ok());
   auto session = monitor_->OpenSession();
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   auto future = (*session)->Submit({{input}});
@@ -222,7 +282,7 @@ TEST_F(ServiceTest, SessionSubmitMatchesRunWrapper) {
 }
 
 TEST_F(ServiceTest, OpenSessionRequiresRunningService) {
-  // Before any Run()/StartService() the request loop is down.
+  // Before StartService() the request loop is down.
   auto session = monitor_->OpenSession();
   ASSERT_FALSE(session.ok());
   EXPECT_EQ(session.status().code(), StatusCode::kFailedPrecondition);
@@ -280,19 +340,20 @@ TEST_F(ServiceTest, StoppedServiceFailsSubmits) {
 
 TEST_F(ServiceTest, RunWrapperKeepsWorkingAcrossReconfiguration) {
   const Tensor input = TestInput();
-  auto first = monitor_->Run({{input}});
+  auto first = RunBatches(*monitor_, {{input}});
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  // UpdateStage quiesces the request loop; the next Run() restarts it.
+  // UpdateStage quiesces the request loop; RunBatches restarts it.
   auto ids = bundle_.StageVariantIds(0);
   ASSERT_GE(ids.size(), 2u);
   ASSERT_TRUE(
       monitor_->UpdateStage(bundle_, *host_, 0, {ids[0], ids[1]}).ok());
-  auto second = monitor_->Run({{input}});
+  auto second = RunBatches(*monitor_, {{input}});
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_LT(MaxAbsDiff((*first)[0][0], (*second)[0][0]), 1e-6f);
 }
 
 TEST_F(ServiceTest, QueuedSubmitsCoalesceIntoOneGroup) {
+  BootGated();
   ASSERT_TRUE(monitor_->StartService().ok());
   auto session = monitor_->OpenSession();
   ASSERT_TRUE(session.ok());
@@ -300,52 +361,42 @@ TEST_F(ServiceTest, QueuedSubmitsCoalesceIntoOneGroup) {
       monitor_->metrics().GetCounter("service.groups_total");
   const uint64_t base = groups.value();
 
-  // Occupy the loop with a legacy group, then queue three submits while
-  // it runs: they must drain as ONE coalesced pipelined group.
-  std::vector<std::vector<Tensor>> batches;
-  for (int i = 0; i < 16; ++i) batches.push_back({TestInput()});
-  auto legacy = std::async(std::launch::async, [&] {
-    return monitor_->Run(batches, core::RunOptions{.pipelined = true});
-  });
-  ASSERT_TRUE(WaitForCounter(groups, base + 1));  // legacy group popped
-
+  // Park the loop before its first admission, then queue three submits:
+  // they must drain as ONE coalesced group.
+  gate_.Close();
   std::vector<std::future<InferenceResponse>> futures;
   for (int i = 0; i < 3; ++i) {
     auto submitted = (*session)->Submit({{TestInput(7 + i)}});
     ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
     futures.push_back(std::move(*submitted));
   }
-  ASSERT_TRUE(legacy.get().ok());
+  gate_.WaitHeld();
+  gate_.Open();
   for (auto& f : futures) {
     InferenceResponse response = f.get();
     EXPECT_TRUE(response.status.ok()) << response.status.ToString();
     EXPECT_FALSE(response.outputs.empty());
   }
-  EXPECT_EQ(groups.value(), base + 2);  // legacy + one coalesced group
+  EXPECT_EQ(groups.value(), base + 1);  // one coalesced group
 }
 
 TEST_F(ServiceTest, ExpiredDeadlineFailsInAdmissionQueue) {
+  BootGated();
   ASSERT_TRUE(monitor_->StartService().ok());
   auto session = monitor_->OpenSession();
   ASSERT_TRUE(session.ok());
-  obs::Counter& groups =
-      monitor_->metrics().GetCounter("service.groups_total");
-  const uint64_t base = groups.value();
-  // Hold the loop busy with a legacy group so the dated submit expires
-  // while queued.
-  std::vector<std::vector<Tensor>> batches;
-  for (int i = 0; i < 16; ++i) batches.push_back({TestInput()});
-  auto legacy = std::async(std::launch::async, [&] {
-    return monitor_->Run(batches, core::RunOptions{.pipelined = true});
-  });
-  ASSERT_TRUE(WaitForCounter(groups, base + 1));
-
+  // Park the loop so the dated submit expires while queued.
+  gate_.Close();
   InferenceRequest request;
   request.inputs = {TestInput()};
-  request.deadline_us = 1;  // expires long before the legacy group ends
+  request.deadline_us = 1;
   auto future = (*session)->Submit(std::move(request));
   ASSERT_TRUE(future.ok()) << future.status().ToString();
-  ASSERT_TRUE(legacy.get().ok());
+  const int64_t submitted_by = util::NowMicros();
+  gate_.WaitHeld();
+  while (util::NowMicros() <= submitted_by) {
+  }  // now >= enqueue + 1 us: the deadline has passed
+  gate_.Open();
   InferenceResponse response = future->get();
   EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
 }
@@ -399,32 +450,25 @@ TEST_F(ServiceTest, TenantGoodputAndOccupancyInstruments) {
 }
 
 TEST_F(ServiceTest, CrossSessionCoalescingKeepsSequenceSpacesIsolated) {
-  // Reference outputs per input, computed through the legacy wrapper.
+  BootGated();
+  // Reference outputs per input, one batch at a time.
   std::vector<Tensor> inputs;
   std::vector<Tensor> expected;
   for (uint64_t i = 0; i < 6; ++i) {
     inputs.push_back(TestInput(20 + i));
-    auto ref = monitor_->Run({{inputs.back()}});
+    auto ref = RunBatches(*monitor_, {{inputs.back()}});
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     expected.push_back((*ref)[0][0]);
   }
 
+  ASSERT_TRUE(monitor_->StartService().ok());
   auto a = monitor_->OpenSession();
   auto b = monitor_->OpenSession();
   ASSERT_TRUE(a.ok() && b.ok());
-  obs::Counter& groups =
-      monitor_->metrics().GetCounter("service.groups_total");
-  const uint64_t base = groups.value();
 
-  // Hold the loop busy so the six submits below queue up and the
-  // continuous scheduler coalesces them across both sessions.
-  std::vector<std::vector<Tensor>> batches;
-  for (int i = 0; i < 16; ++i) batches.push_back({TestInput()});
-  auto legacy = std::async(std::launch::async, [&] {
-    return monitor_->Run(batches, core::RunOptions{.pipelined = true});
-  });
-  ASSERT_TRUE(WaitForCounter(groups, base + 1));
-
+  // Park the loop so the six submits below queue up and the scheduler
+  // coalesces them across both sessions.
+  gate_.Close();
   // Interleave submissions: a, b, a, b, ...
   std::vector<std::future<InferenceResponse>> futures;
   for (size_t i = 0; i < inputs.size(); ++i) {
@@ -436,7 +480,8 @@ TEST_F(ServiceTest, CrossSessionCoalescingKeepsSequenceSpacesIsolated) {
     ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
     futures.push_back(std::move(*submitted));
   }
-  ASSERT_TRUE(legacy.get().ok());
+  gate_.WaitHeld();
+  gate_.Open();
 
   // Every reply carries its own session's payload (no cross-session
   // mixing in the shared stream) and its own session's sequence number
@@ -454,6 +499,10 @@ TEST_F(ServiceTest, CrossSessionCoalescingKeepsSequenceSpacesIsolated) {
 // --------------------------------------------- wire sessions (RA-TLS)
 
 TEST_F(ServiceTest, AttestedHandshakeAndEncryptedInference) {
+  const Tensor input = TestInput();
+  auto reference = RunBatches(*monitor_, {{input}});
+  ASSERT_TRUE(reference.ok());
+
   transport::Listener listener;
   auto service = InferenceService::Start(*monitor_, listener);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
@@ -467,9 +516,6 @@ TEST_F(ServiceTest, AttestedHandshakeAndEncryptedInference) {
   EXPECT_EQ((*client)->monitor_report().measurement,
             monitor_->enclave().measurement());
 
-  const Tensor input = TestInput();
-  auto reference = monitor_->Run({{input}});
-  ASSERT_TRUE(reference.ok());
   auto outputs = (*client)->Infer({input});
   ASSERT_TRUE(outputs.ok()) << outputs.status().ToString();
   ASSERT_EQ(outputs->size(), (*reference)[0].size());
@@ -750,8 +796,8 @@ TEST_F(ServiceTest, CoalescedWireSessionsNeverMixKeysOrPayloads) {
   std::vector<std::vector<Tensor>> expected(kClients);
   for (int c = 0; c < kClients; ++c) {
     for (int r = 0; r < kRequests; ++r) {
-      auto ref =
-          monitor_->Run({{TestInput(static_cast<uint64_t>(100 * c + r))}});
+      auto ref = RunBatches(
+          *monitor_, {{TestInput(static_cast<uint64_t>(100 * c + r))}});
       ASSERT_TRUE(ref.ok()) << ref.status().ToString();
       expected[c].push_back((*ref)[0][0]);
     }
@@ -810,8 +856,8 @@ TEST_F(ServiceTest, SchedulerRoutesModelsAndRejectsUnknown) {
                   .ok());
 
   const Tensor input = TestInput();
-  auto ref_alpha = monitor_->Run({{input}});
-  auto ref_beta = (*monitor2)->Run({{input}});
+  auto ref_alpha = RunBatches(*monitor_, {{input}});
+  auto ref_beta = RunBatches(**monitor2, {{input}});
   ASSERT_TRUE(ref_alpha.ok() && ref_beta.ok());
   // Different weight seeds: routing errors are observable.
   ASSERT_GT(MaxAbsDiff((*ref_alpha)[0][0], (*ref_beta)[0][0]), 1e-6f);
@@ -1077,6 +1123,22 @@ TEST_F(ServiceTest, AdminEndpointsServeLiveState) {
   EXPECT_EQ(svc->Find("sessions")->as_array()[0].Find("next_seq")
                 ->as_number(),
             3.0);
+  // Async cross-check coverage: the lag budget is the slot count, and
+  // each counter mirrors its registry value.
+  const obs::JsonValue* cross = svc->Find("cross_check");
+  ASSERT_NE(cross, nullptr);
+  EXPECT_EQ(cross->Find("lag_budget")->as_number(),
+            static_cast<double>(core::SchedulerConfig{}.max_batch));
+  for (const char* name :
+       {"unsampled_batches", "unchecked_reports", "late_divergences"}) {
+    ASSERT_NE(cross->Find(name), nullptr) << name;
+    EXPECT_EQ(cross->Find(name)->as_number(),
+              static_cast<double>(
+                  monitor_->metrics()
+                      .GetCounter(std::string("monitor.") + name)
+                      .value()))
+        << name;
+  }
   const obs::JsonValue* build = sjson->Find("build");
   ASSERT_NE(build, nullptr);
   EXPECT_TRUE(build->Find("cpu_features")->is_string());

@@ -20,8 +20,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <mutex>
 #include <sstream>
+#include <thread>
 
 
 namespace mvtee::core {
@@ -31,14 +33,52 @@ using graph::Graph;
 using tensor::Shape;
 using tensor::Tensor;
 
-// One-batch convenience over the unified Run() surface (replaces the
-// removed RunBatch wrapper): returns the single batch's outputs.
+// One-batch convenience over RunBatches: returns the batch's outputs.
 util::Result<std::vector<Tensor>> RunOne(Monitor& m,
                                          const std::vector<Tensor>& inputs) {
-  auto all = m.Run({inputs});
+  auto all = RunBatches(m, {inputs});
   if (!all.ok()) return all.status();
   return std::move((*all)[0]);
 }
+
+// Spins until `counter` reaches `target`; false once `timeout_us`
+// passed (a failure guard, not a pacing device).
+bool WaitForCounter(const obs::Counter& counter, uint64_t target,
+                    int64_t timeout_us = 10'000'000) {
+  const int64_t give_up = util::NowMicros() + timeout_us;
+  while (counter.value() < target) {
+    if (util::NowMicros() > give_up) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+// Fault hook that parks the variant at its first node until Open(), and
+// optionally corrupts every node output. The bounded wait only frees the
+// variant if the test failed before opening the gate.
+class GateHook : public runtime::FaultHook {
+ public:
+  explicit GateHook(bool corrupt = false) : corrupt_(corrupt) {}
+  util::Status OnNodeStart(const graph::Node&) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_for(lock, std::chrono::seconds(30), [this] { return open_; });
+    return util::OkStatus();
+  }
+  void OnNodeComplete(const graph::Node&, Tensor& out) override {
+    if (corrupt_ && out.num_elements() > 0) out.data()[0] += 100.0f;
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  const bool corrupt_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
 
 graph::ZooConfig SmallZoo() {
   graph::ZooConfig cfg;
@@ -151,6 +191,44 @@ class VirtualTimeTest : public ::testing::Test {
     return batches;
   }
 
+  // Boots a 3-stage ResNet-50 whose diversified pool includes a slow
+  // variant (s1.v2) behind an async majority panel {1, 3, 1}.
+  void BootPanel(std::shared_ptr<runtime::FaultHook> slow_hook,
+                 MonitorConfig config = AsyncMajority(),
+                 VariantHost::Options host_options = {}) {
+    model_ = graph::BuildModel(graph::ModelKind::kResNet50, SmallZoo());
+    auto opts = Offline(3, 2, /*replicated=*/false);
+    opts.pool.include_slow_variant = true;
+    opts.pool.slow_variant_factor = 6.0;
+    auto bundle = RunOfflineTool(model_, opts);
+    ASSERT_TRUE(bundle.ok());
+    bundle_ = std::move(*bundle);
+    host_ =
+        std::make_unique<VariantHost>(&cpu_, bundle_.store, host_options);
+    host_->SetFaultHook("s1.v2", std::move(slow_hook));
+    auto monitor = Monitor::Create(&cpu_, config);
+    ASSERT_TRUE(monitor.ok());
+    monitor_ = std::move(*monitor);
+    ASSERT_TRUE(monitor_
+                    ->Initialize(bundle_,
+                                 MvxSelection::PerStage(bundle_, {1, 3, 1}),
+                                 *host_)
+                    .ok());
+  }
+
+  static MonitorConfig AsyncMajority() {
+    MonitorConfig config;
+    config.mode = ExecMode::kAsync;
+    config.check = CheckPolicy::Cosine(0.99);
+    config.vote = VotePolicy::kMajority;
+    config.reaction = ReactionPolicy::ContinueWithWinner();
+    return config;
+  }
+
+  uint64_t Count(const char* name) {
+    return monitor_->metrics().GetCounter(name).value();
+  }
+
   void TearDown() override {
     if (monitor_) ASSERT_TRUE(monitor_->Shutdown().ok());
     if (host_) host_->JoinAll();
@@ -169,9 +247,9 @@ TEST_F(VirtualTimeTest, PipelinedBeatsSequentialThroughput) {
   Boot(config);
   auto batches = MakeBatches(10);
 
-  ASSERT_TRUE(monitor_->Run(batches).ok());
+  ASSERT_TRUE(RunBatches(*monitor_, batches).ok());
   auto seq = monitor_->ConsumeStats();
-  ASSERT_TRUE(monitor_->Run(batches, RunOptions{.pipelined = true}).ok());
+  ASSERT_TRUE(RunBatches(*monitor_, batches, /*pipelined=*/true).ok());
   auto pipe = monitor_->ConsumeStats();
 
   EXPECT_GT(seq.ThroughputPerSec(), 0.0);
@@ -184,19 +262,20 @@ TEST_F(VirtualTimeTest, StatsAreMeaningful) {
   MonitorConfig config;
   Boot(config, 3, 3);
   auto batches = MakeBatches(4);
-  ASSERT_TRUE(monitor_->Run(batches).ok());
+  ASSERT_TRUE(RunBatches(*monitor_, batches).ok());
   auto stats = monitor_->ConsumeStats();
-  EXPECT_EQ(stats.batch_latency_us.size(), 4u);
-  for (int64_t lat : stats.batch_latency_us) EXPECT_GT(lat, 0);
+  EXPECT_EQ(stats.batch_latency_us.count, 4u);
+  EXPECT_GT(stats.batch_latency_us.min_us, 0);
   EXPECT_GT(stats.wall_us, 0);
   EXPECT_EQ(stats.checkpoints_evaluated, 3u * 4u);
   EXPECT_GT(stats.bytes_sent, 0u);
-  // Mean latency consistent with the list.
+  // Mean latency consistent with the summary.
   double mean = stats.MeanLatencyUs();
-  EXPECT_GT(mean, 0.0);
+  EXPECT_GE(mean, static_cast<double>(stats.batch_latency_us.min_us));
+  EXPECT_LE(mean, static_cast<double>(stats.batch_latency_us.max_us));
   // Consuming resets.
   auto empty = monitor_->ConsumeStats();
-  EXPECT_TRUE(empty.batch_latency_us.empty());
+  EXPECT_EQ(empty.batch_latency_us.count, 0u);
 }
 
 TEST_F(VirtualTimeTest, SlowVariantDelaysSyncButNotAsyncQuorum) {
@@ -225,7 +304,7 @@ TEST_F(VirtualTimeTest, SlowVariantDelaysSyncButNotAsyncQuorum) {
                                  *host_)
                     .ok());
     auto batches = MakeBatches(6);
-    MVTEE_CHECK(monitor_->Run(batches).ok());
+    MVTEE_CHECK(RunBatches(*monitor_, batches).ok());
     auto stats = monitor_->ConsumeStats();
     MVTEE_CHECK(monitor_->Shutdown().ok());
     host_->JoinAll();
@@ -239,44 +318,24 @@ TEST_F(VirtualTimeTest, SlowVariantDelaysSyncButNotAsyncQuorum) {
 }
 
 TEST_F(VirtualTimeTest, AsyncLateDivergenceDetected) {
-  // Corrupt ONLY the slow variant: async proceeds on the healthy quorum,
-  // then flags the straggler at the next checkpoint (late divergence).
-  model_ = graph::BuildModel(graph::ModelKind::kResNet50, SmallZoo());
-  auto opts = Offline(3, 2, /*replicated=*/false);
-  opts.pool.include_slow_variant = true;
-  opts.pool.slow_variant_factor = 6.0;
-  auto bundle = RunOfflineTool(model_, opts);
-  ASSERT_TRUE(bundle.ok());
-  bundle_ = std::move(*bundle);
-
-  class Corrupt : public runtime::FaultHook {
-   public:
-    void OnNodeComplete(const graph::Node&, Tensor& out) override {
-      if (out.num_elements() > 0) out.data()[0] += 100.0f;
-    }
-  };
-  host_ = std::make_unique<VariantHost>(&cpu_, bundle_.store);
-  host_->SetFaultHook("s1.v2", std::make_shared<Corrupt>());  // slow variant
-
-  MonitorConfig config;
-  config.mode = ExecMode::kAsync;
-  config.check = CheckPolicy::Cosine(0.99);
-  config.vote = VotePolicy::kMajority;
-  config.reaction = ReactionPolicy::ContinueWithWinner();
-  auto monitor = Monitor::Create(&cpu_, config);
-  ASSERT_TRUE(monitor.ok());
-  monitor_ = std::move(*monitor);
-  ASSERT_TRUE(monitor_
-                  ->Initialize(bundle_,
-                               MvxSelection::PerStage(bundle_, {1, 3, 1}),
-                               *host_)
-                  .ok());
+  // The corrupted slow variant is held until the healthy quorum answered
+  // the first batch, so its report for that batch lands after the
+  // verdict: async validation flags it as a late divergence.
+  auto gate = std::make_shared<GateHook>(/*corrupt=*/true);
+  BootPanel(gate);
+  (void)monitor_->ConsumeStats();
+  const obs::Counter& completed =
+      monitor_->metrics().GetCounter("monitor.batches_completed");
+  const uint64_t before = completed.value();
   auto batches = MakeBatches(6);
-  auto out = monitor_->Run(batches);
+  auto run = std::async(std::launch::async,
+                        [&] { return RunBatches(*monitor_, batches); });
+  ASSERT_TRUE(WaitForCounter(completed, before + 1));
+  gate->Open();
+  auto out = run.get();
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   auto stats = monitor_->ConsumeStats();
-  // Dissent observed — either at a checkpoint or via late validation.
-  EXPECT_GT(stats.divergences + stats.late_divergences, 0u);
+  EXPECT_GE(stats.late_divergences, 1u);
   // And every released output matches the healthy reference.
   for (size_t b = 0; b < batches.size(); ++b) {
     auto expected = ReferenceRun(model_, batches[b]);
@@ -284,78 +343,156 @@ TEST_F(VirtualTimeTest, AsyncLateDivergenceDetected) {
   }
 }
 
-TEST_F(VirtualTimeTest, ServedAsyncStragglersAreCountedUnchecked) {
-  // The slow panel member reports after the healthy quorum completed a
-  // batch. A serving stream reclaims a batch once it completes, so the
-  // straggler's report finds no batch state and is dropped without a
-  // cross-check; monitor.unchecked_reports counts those drops.
-  model_ = graph::BuildModel(graph::ModelKind::kResNet50, SmallZoo());
-  auto opts = Offline(3, 2, /*replicated=*/false);
-  opts.pool.include_slow_variant = true;
-  opts.pool.slow_variant_factor = 6.0;
-  auto bundle = RunOfflineTool(model_, opts);
-  ASSERT_TRUE(bundle.ok());
-  bundle_ = std::move(*bundle);
-
-  // Holds the slow variant until the first request was answered, so its
-  // first report certainly arrives after that batch completed. The
-  // bounded wait only frees the variant if the test fails first.
-  class Gate : public runtime::FaultHook {
-   public:
-    util::Status OnNodeStart(const graph::Node&) override {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait_for(lock, std::chrono::seconds(30), [this] { return open_; });
-      return util::OkStatus();
-    }
-    void Open() {
-      std::lock_guard<std::mutex> lock(mu_);
-      open_ = true;
-      cv_.notify_all();
-    }
-
-   private:
-    std::mutex mu_;
-    std::condition_variable cv_;
-    bool open_ = false;
-  };
-  auto gate = std::make_shared<Gate>();
-  host_ = std::make_unique<VariantHost>(&cpu_, bundle_.store);
-  host_->SetFaultHook("s1.v2", gate);  // the slow variant
-
-  MonitorConfig config;
-  config.mode = ExecMode::kAsync;
-  config.check = CheckPolicy::Cosine(0.99);
-  config.vote = VotePolicy::kMajority;
-  config.reaction = ReactionPolicy::ContinueWithWinner();
-  auto monitor = Monitor::Create(&cpu_, config);
-  ASSERT_TRUE(monitor.ok());
-  monitor_ = std::move(*monitor);
-  ASSERT_TRUE(monitor_
-                  ->Initialize(bundle_,
-                               MvxSelection::PerStage(bundle_, {1, 3, 1}),
-                               *host_)
-                  .ok());
+TEST_F(VirtualTimeTest, ServedAsyncStragglersAreCrossChecked) {
+  // The corrupted slow panel member reports after the healthy quorum
+  // answered its request. The serving stream keeps the batch until that
+  // report arrives and cross-checks it: a late divergence, not an
+  // unchecked drop.
+  auto gate = std::make_shared<GateHook>(/*corrupt=*/true);
+  BootPanel(gate);
   ASSERT_TRUE(monitor_->StartService().ok());
-  const obs::Counter& unchecked =
-      monitor_->metrics().GetCounter("monitor.unchecked_reports");
-  const uint64_t before = unchecked.value();
+  const uint64_t unchecked = Count("monitor.unchecked_reports");
+  const uint64_t late = Count("monitor.late_divergences");
 
   auto session = monitor_->OpenSession();
   ASSERT_TRUE(session.ok()) << session.status().ToString();
-  // One request at a time. A report that lands between requests is read
-  // by the next request's serving stream, so serve until one is counted.
-  auto batches = MakeBatches(64);
-  for (size_t i = 0; i < batches.size() && unchecked.value() == before;
-       ++i) {
+  // One request at a time; the gate opens once the first is answered.
+  for (auto& inputs : MakeBatches(6)) {
     InferenceRequest request;
-    request.inputs = batches[i];
+    request.inputs = std::move(inputs);
     auto future = (*session)->Submit(std::move(request));
     ASSERT_TRUE(future.ok()) << future.status().ToString();
     InferenceResponse response = future->get();
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
     gate->Open();
   }
-  EXPECT_GT(unchecked.value(), before);
+  monitor_->StopService();  // waits for every owed report
+  EXPECT_EQ(Count("monitor.unchecked_reports"), unchecked);
+  EXPECT_GE(Count("monitor.late_divergences"), late + 1);
+}
+
+TEST_F(VirtualTimeTest, LaggingMemberSkipsBatchesBeyondItsBudget) {
+  // A wedged async member may owe at most max_batch reports: it is left
+  // out of every later batch (counted unsampled), the healthy quorum
+  // answers all of them, and once it wakes each report it owed is
+  // cross-checked.
+  constexpr size_t kBudget = 4;
+  constexpr size_t kRequests = 10;
+  auto gate = std::make_shared<GateHook>(/*corrupt=*/true);
+  BootPanel(gate);
+  core::ServiceConfig service;
+  service.scheduler.max_batch = kBudget;
+  service.admission_queue_max = kRequests;
+  ASSERT_TRUE(monitor_->StartService(service).ok());
+  const uint64_t unsampled = Count("monitor.unsampled_batches");
+  const uint64_t unchecked = Count("monitor.unchecked_reports");
+  const uint64_t late = Count("monitor.late_divergences");
+
+  auto session = monitor_->OpenSession();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  std::vector<std::future<InferenceResponse>> replies;
+  for (auto& inputs : MakeBatches(kRequests)) {
+    InferenceRequest request;
+    request.inputs = std::move(inputs);
+    auto future = (*session)->Submit(std::move(request));
+    ASSERT_TRUE(future.ok()) << future.status().ToString();
+    replies.push_back(std::move(*future));
+  }
+  for (auto& reply : replies) {
+    const InferenceResponse response = reply.get();
+    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+  }
+  EXPECT_EQ(Count("monitor.unsampled_batches"),
+            unsampled + kRequests - kBudget);
+
+  gate->Open();
+  monitor_->StopService();  // waits for the owed reports
+  EXPECT_EQ(Count("monitor.late_divergences"), late + kBudget);
+  EXPECT_EQ(Count("monitor.unchecked_reports"), unchecked);
+}
+
+TEST_F(VirtualTimeTest, SyncPanelsNeverSkipBatches) {
+  // A sync batch completes only once every member reported, so no member
+  // can owe max_batch reports when a new batch reaches its stage.
+  Boot(MonitorConfig{}, 3, 3);
+  const obs::Counter& unsampled =
+      monitor_->metrics().GetCounter("monitor.unsampled_batches");
+  const uint64_t before = unsampled.value();
+  ASSERT_TRUE(RunBatches(*monitor_, MakeBatches(6), /*pipelined=*/true).ok());
+
+  core::ServiceConfig service;
+  service.scheduler.max_batch = 2;  // slots free and refill mid-stream
+  ASSERT_TRUE(monitor_->StartService(service).ok());
+  auto session = monitor_->OpenSession();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  std::vector<std::future<InferenceResponse>> replies;
+  for (auto& inputs : MakeBatches(8)) {
+    InferenceRequest request;
+    request.inputs = std::move(inputs);
+    auto future = (*session)->Submit(std::move(request));
+    ASSERT_TRUE(future.ok()) << future.status().ToString();
+    replies.push_back(std::move(*future));
+  }
+  for (auto& reply : replies) EXPECT_TRUE(reply.get().status.ok());
+  monitor_->StopService();
+  EXPECT_EQ(unsampled.value(), before);
+}
+
+TEST_F(VirtualTimeTest, DepartedMemberReleasesOwedReportsUnchecked) {
+  // A wedged supervised member owes max_batch reports on decided
+  // stages. Its first frame after waking is tampered, so the monitor
+  // quarantines it: what it owed can no longer arrive, so it is counted
+  // unchecked, never judged as late dissent, and StopService does not
+  // wait out recv_timeout_us for it.
+  constexpr size_t kBudget = 3;
+  constexpr size_t kRequests = 6;
+  auto tamper = std::make_shared<std::atomic<bool>>(false);
+  VariantHost::Options hostile;
+  hostile.tamper_variant_tx =
+      [tamper](const util::Bytes& frame) -> std::optional<util::Bytes> {
+    if (!tamper->load()) return frame;
+    util::Bytes tampered = frame;
+    tampered[tampered.size() / 2] ^= 0x01;
+    return tampered;
+  };
+  MonitorConfig config = AsyncMajority();
+  config.reaction = ReactionPolicy::Builder()
+                        .QuarantineAndRestart()
+                        .Backoff(/*initial_us=*/60'000'000, /*multiplier=*/2.0,
+                                 /*max_us=*/60'000'000)
+                        .Build();
+  auto gate = std::make_shared<GateHook>();
+  BootPanel(gate, config, hostile);
+  core::ServiceConfig service;
+  service.scheduler.max_batch = kBudget;
+  ASSERT_TRUE(monitor_->StartService(service).ok());
+  const uint64_t unchecked = Count("monitor.unchecked_reports");
+  const uint64_t late = Count("monitor.late_divergences");
+  const uint64_t quarantines = Count("supervisor.quarantines_total");
+
+  auto session = monitor_->OpenSession();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  std::vector<std::future<InferenceResponse>> replies;
+  for (auto& inputs : MakeBatches(kRequests)) {
+    InferenceRequest request;
+    request.inputs = std::move(inputs);
+    auto future = (*session)->Submit(std::move(request));
+    ASSERT_TRUE(future.ok()) << future.status().ToString();
+    replies.push_back(std::move(*future));
+  }
+  for (auto& reply : replies) EXPECT_TRUE(reply.get().status.ok());
+
+  // Only the woken member sends from here on.
+  tamper->store(true);
+  gate->Open();
+  ASSERT_TRUE(WaitForCounter(
+      monitor_->metrics().GetCounter("supervisor.quarantines_total"),
+      quarantines + 1));
+  const int64_t stop0 = util::NowMicros();
+  monitor_->StopService();
+  EXPECT_LT(util::NowMicros() - stop0, config.recv_timeout_us);
+  EXPECT_EQ(Count("monitor.unchecked_reports"), unchecked + kBudget);
+  EXPECT_EQ(Count("monitor.late_divergences"), late);
 }
 
 TEST_F(VirtualTimeTest, VerifyFastPathCatchesNonFinitePoisoning) {
@@ -397,13 +534,13 @@ TEST_F(VirtualTimeTest, EventedMonitorExposesWaitAndPrefilterMetrics) {
   Boot(config, 3, 3);
   auto before = obs::Registry::Default().Snapshot();
   auto batches = MakeBatches(4);
-  ASSERT_TRUE(monitor_->Run(batches).ok());
+  ASSERT_TRUE(RunBatches(*monitor_, batches).ok());
   auto delta = obs::Registry::Default().Snapshot().DeltaSince(before);
   EXPECT_GT(delta.counters.at("monitor.prefilter_hits"), 0u);
   EXPECT_EQ(delta.counters.at("monitor.full_checks"), 0u);
   EXPECT_GT(delta.histograms.at("monitor.wait_us").count, 0u);
   EXPECT_GT(delta.histograms.at("monitor.verify_job_us").count, 0u);
-  // The pool drained before Run returned.
+  // The pool drained before RunBatches returned.
   EXPECT_EQ(delta.gauges.at("monitor.verify_queue_depth"), 0);
 }
 
@@ -416,7 +553,7 @@ TEST_F(VirtualTimeTest, InlineVerifyAndPrefilterOffStillCorrect) {
   config.digest_prefilter = false;
   Boot(config, 3, 3);
   auto batches = MakeBatches(3);
-  auto out = monitor_->Run(batches);
+  auto out = RunBatches(*monitor_, batches);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   auto stats = monitor_->ConsumeStats();
   EXPECT_EQ(stats.checkpoints_evaluated, 3u * 3u);
@@ -434,15 +571,12 @@ TEST_F(VirtualTimeTest, SequentialPacingKeepsVirtualTimeSane) {
   // mutually sane.
   Boot(MonitorConfig{}, 3, 3);
   auto batches = MakeBatches(5);
-  RunStats run_stats;
-  RunOptions opts;
-  opts.stats = &run_stats;
-  ASSERT_TRUE(monitor_->Run(batches, opts).ok());
-  ASSERT_EQ(run_stats.batch_latency_us.size(), 5u);
-  int64_t lo = *std::min_element(run_stats.batch_latency_us.begin(),
-                                 run_stats.batch_latency_us.end());
-  int64_t hi = *std::max_element(run_stats.batch_latency_us.begin(),
-                                 run_stats.batch_latency_us.end());
+  (void)monitor_->ConsumeStats();
+  ASSERT_TRUE(RunBatches(*monitor_, batches).ok());
+  const LatencySummary run = monitor_->ConsumeStats().batch_latency_us;
+  ASSERT_EQ(run.count, 5u);
+  const int64_t lo = run.min_us;
+  const int64_t hi = run.max_us;
   EXPECT_GT(lo, 0);
   EXPECT_LT(hi, lo * 100);  // no batch pays another's clobbered baseline
 }
@@ -517,7 +651,7 @@ TEST_F(VirtualTimeTest, DivergenceWritesEvidenceBundleWithLinkedTrace) {
                   ->Initialize(bundle_, MvxSelection::Uniform(bundle_, 3),
                                host)
                   .ok());
-  auto out = (*monitor)->Run(MakeBatches(1));
+  auto out = RunBatches(**monitor, MakeBatches(1));
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), util::StatusCode::kDivergenceDetected);
   (void)(*monitor)->Shutdown();
@@ -650,12 +784,12 @@ TEST_F(VirtualTimeTest, RepeatedRunsAccumulateIndependentStats) {
   MonitorConfig config;
   Boot(config, 3, 1);
   auto batches = MakeBatches(3);
-  ASSERT_TRUE(monitor_->Run(batches).ok());
+  ASSERT_TRUE(RunBatches(*monitor_, batches).ok());
   auto first = monitor_->ConsumeStats();
-  ASSERT_TRUE(monitor_->Run(batches).ok());
+  ASSERT_TRUE(RunBatches(*monitor_, batches).ok());
   auto second = monitor_->ConsumeStats();
-  EXPECT_EQ(first.batch_latency_us.size(), 3u);
-  EXPECT_EQ(second.batch_latency_us.size(), 3u);
+  EXPECT_EQ(first.batch_latency_us.count, 3u);
+  EXPECT_EQ(second.batch_latency_us.count, 3u);
   // Virtual clocks persist across runs but latencies stay per-run sane:
   // within an order of magnitude of each other.
   EXPECT_LT(second.MeanLatencyUs(), first.MeanLatencyUs() * 10);
@@ -669,7 +803,7 @@ TEST_F(VirtualTimeTest, PlaintextAblationIsNotSlower) {
   MonitorConfig config;
   config.direct_fastpath = true;
   Boot(config);
-  ASSERT_TRUE(monitor_->Run(batches).ok());
+  ASSERT_TRUE(RunBatches(*monitor_, batches).ok());
   auto encrypted = monitor_->ConsumeStats();
   ASSERT_TRUE(monitor_->Shutdown().ok());
   host_->JoinAll();
@@ -684,7 +818,7 @@ TEST_F(VirtualTimeTest, PlaintextAblationIsNotSlower) {
                   ->Initialize(bundle_, MvxSelection::Uniform(bundle_, 1),
                                *host_)
                   .ok());
-  ASSERT_TRUE(monitor_->Run(batches).ok());
+  ASSERT_TRUE(RunBatches(*monitor_, batches).ok());
   auto plaintext = monitor_->ConsumeStats();
 
   // Allow generous noise margin; the point is no systematic inversion.
@@ -692,10 +826,10 @@ TEST_F(VirtualTimeTest, PlaintextAblationIsNotSlower) {
 }
 
 TEST_F(VirtualTimeTest, LifecycleEvidenceBundleRecordsQuarantineAndReadmit) {
-  // Full reaction loop inside ONE Run call: a transient tamper on one
-  // replica trips quarantine, the supervisor re-bootstraps it through
-  // the attested two-stage protocol and re-admits it after a clean
-  // shadow checkpoint — all without aborting. The end-of-run evidence
+  // Full reaction loop inside ONE RunBatches call: a transient tamper
+  // on one replica trips quarantine, the supervisor re-bootstraps it
+  // through the attested two-stage protocol and re-admits it after a
+  // clean shadow checkpoint — all without aborting. The end-of-run evidence
   // bundle must carry the quarantine AND readmit verdicts, each linked
   // to its batch's trace, and the supervisor metrics must move.
   char evidence_dir[] = "/tmp/mvtee-lifecycle-XXXXXX";
@@ -723,6 +857,14 @@ TEST_F(VirtualTimeTest, LifecycleEvidenceBundleRecordsQuarantineAndReadmit) {
                         .Backoff(/*initial_us=*/0, /*multiplier=*/2.0,
                                  /*max_us=*/1'000)
                         .Build();
+  // Holds the event loop until all six requests are queued, so one
+  // serving stream runs them (one stream leaves one bundle).
+  const obs::Counter& submitted =
+      obs::Registry::Default().GetCounter("service.requests_total");
+  const uint64_t all_queued = submitted.value() + 6;
+  config.loop_tick_hook = [&] {
+    while (submitted.value() < all_queued) std::this_thread::yield();
+  };
   auto monitor = Monitor::Create(&cpu_, config);
   ASSERT_TRUE(monitor.ok());
   ASSERT_TRUE((*monitor)
@@ -732,7 +874,7 @@ TEST_F(VirtualTimeTest, LifecycleEvidenceBundleRecordsQuarantineAndReadmit) {
 
   auto before = obs::Registry::Default().Snapshot();
   auto batches = MakeBatches(6);
-  auto out = (*monitor)->Run(batches);
+  auto out = RunBatches(**monitor, batches);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   auto delta = obs::Registry::Default().Snapshot().DeltaSince(before);
   EXPECT_GE(delta.counters.at("supervisor.quarantines_total"), 1u);
@@ -817,7 +959,7 @@ TEST_F(VirtualTimeTest, RecvTimeoutBecomesVariantFailureNotRunError) {
   // the expiry is classified as a per-slot failure, the slot is
   // quarantined, and the run completes instead of DeadlineExceeded.
   // The hook parks the variant's first inference on a latch (released
-  // after Run) rather than a fixed sleep, so the silence outlasts the
+  // after RunBatches) rather than a fixed sleep, so the silence outlasts the
   // recv timeout regardless of scheduler load; respawned instances of
   // the variant run clean.
   class HangFirstCall : public runtime::FaultHook {
@@ -870,7 +1012,7 @@ TEST_F(VirtualTimeTest, RecvTimeoutBecomesVariantFailureNotRunError) {
                   .ok());
 
   auto batches = MakeBatches(3);
-  auto out = (*monitor)->Run(batches);
+  auto out = RunBatches(**monitor, batches);
   hang->Release();  // unpark the quarantined original before teardown
   ASSERT_TRUE(out.ok()) << out.status().ToString();  // not DeadlineExceeded
 

@@ -93,6 +93,24 @@ TEST(ChannelTest, QueuedFramesSurviveClose) {
   EXPECT_EQ(b.Recv(10'000).status().code(), StatusCode::kUnavailable);
 }
 
+TEST(ChannelTest, DroppedEndpointSignalsPeer) {
+  // Destroying one end closes it: the peer reads kUnavailable at once
+  // instead of waiting out a timeout.
+  auto [a, b] = CreateChannel();
+  ASSERT_TRUE(a.Send(ToBytes("last")).ok());
+  { Endpoint dropped = std::move(a); }
+  EXPECT_TRUE(b.Recv(0).ok());  // frames sent before the drop still arrive
+  EXPECT_EQ(b.Recv(0).status().code(), StatusCode::kUnavailable);
+
+  // Overwriting an end by move assignment closes the end it replaces.
+  auto [c, d] = CreateChannel();
+  auto [e, f] = CreateChannel();
+  c = std::move(e);
+  EXPECT_EQ(d.Recv(0).status().code(), StatusCode::kUnavailable);
+  ASSERT_TRUE(c.Send(ToBytes("moved")).ok());
+  EXPECT_TRUE(f.Recv(0).ok());
+}
+
 TEST(ChannelTest, ZeroTimeoutPollNeverSleeps) {
   auto [a, b] = CreateChannel();
   (void)a;
