@@ -20,6 +20,11 @@
 //      through the AVX2 tier vs util::ScopedForceScalar on L2-resident
 //      arrays, asserting the outputs stay bitwise identical.
 //      Acceptance floor: hardswish >= 1.2x where AVX2 dispatches.
+//   4. Executor per-op cost: ns per executed op of Executor::Run over a
+//      chain of 256 Relu nodes on a 16-float tensor, where kernel time
+//      is small next to what every op pays on top of it: dispatch,
+//      buffer reclamation and the executor.op.* instrumentation.
+//      Report only, no floor.
 //
 // Results go to stdout and to a JSON summary at $MVTEE_BENCH_JSON
 // (default ./BENCH_kernels.json). Floors the host cannot fail are
@@ -32,6 +37,8 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "graph/builder.h"
+#include "runtime/executor.h"
 #include "runtime/gemm.h"
 #include "runtime/kernels.h"
 #include "tensor/tensor.h"
@@ -295,6 +302,32 @@ ElementwiseResult RunElementwise(const char* op, double bytes_per_call,
   return out;
 }
 
+// -------------------------------------------------- executor per op
+
+constexpr int kChainOps = 256;
+
+// Median ns per executed op of Executor::Run (reference preset) over a
+// kChainOps-long Relu chain on a [1, 16] tensor.
+double RunExecutorPerOp() {
+  graph::ModelBuilder b(7);
+  graph::NodeId x = b.Input("x", Shape({1, 16}));
+  for (int i = 0; i < kChainOps; ++i) x = b.Relu(x);
+  b.MarkOutput(x);
+  auto exec = runtime::Executor::Create(b.Build(),
+                                        runtime::ReferenceExecutorConfig());
+  MVTEE_CHECK(exec.ok());
+  util::Rng rng(9);
+  const std::vector<Tensor> inputs = {
+      Tensor::RandomUniform(Shape({1, 16}), rng)};
+  auto run = [&] { MVTEE_CHECK((*exec)->Run(inputs).ok()); };
+  run();  // warm the buffer pool
+  const int iters = 16;
+  return TimeMedian(31, [&] {
+           for (int i = 0; i < iters; ++i) run();
+         }) /
+         (iters * kChainOps) * 1e9;
+}
+
 // --------------------------------------------------------------- main
 
 const char* BackendName(runtime::GemmBackend b) {
@@ -311,7 +344,7 @@ void WriteJson(const std::vector<PrepackResult>& packs,
                const std::vector<ConvResult>& convs,
                const std::vector<DepthwiseResult>& dws, double dw_blocked_x,
                const std::vector<ElementwiseResult>& elws,
-               uint64_t steady_pool_misses) {
+               uint64_t steady_pool_misses, double executor_ns_per_op) {
   const char* path = std::getenv("MVTEE_BENCH_JSON");
   if (path == nullptr) path = "BENCH_kernels.json";
   std::FILE* f = std::fopen(path, "w");
@@ -385,7 +418,10 @@ void WriteJson(const std::vector<PrepackResult>& packs,
                  floor_applies ? "false" : "true",
                  i + 1 < elws.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f,
+               "  ],\n  \"executor_per_op\": {\"chain\": \"%d x relu [1,16]\", "
+               "\"preset\": \"reference\", \"ns_per_op\": %.1f}\n}\n",
+               kChainOps, executor_ns_per_op);
   std::fclose(f);
   std::printf("wrote %s\n", path);
 }
@@ -538,7 +574,16 @@ int Main() {
                                        : "  ** BELOW FLOOR **");
   }
 
-  WriteJson(packs, convs, dws, dw_blocked_x, elws, steady_pool_misses);
+  // 4. Executor per-op overhead (report only).
+  const double executor_ns_per_op = RunExecutorPerOp();
+  std::printf("\nExecutor::Run, %d x relu on [1,16], reference preset\n",
+              kChainOps);
+  PrintRule();
+  std::printf("ns per executed op: %.1f  (report only)\n",
+              executor_ns_per_op);
+
+  WriteJson(packs, convs, dws, dw_blocked_x, elws, steady_pool_misses,
+            executor_ns_per_op);
   bool pack_ok = true;
   for (const PrepackResult& r : packs) {
     if (r.floor_applies && r.speedup() < 1.3) pack_ok = false;

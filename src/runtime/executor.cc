@@ -334,57 +334,71 @@ util::Result<std::vector<Tensor>> Executor::Run(
     env[static_cast<size_t>(id)] = inputs[i];
   }
 
-  for (const Node& node : graph_.nodes()) {
-    if (node.op == OpType::kInput) continue;
-    if (fault_hook_) {
-      MVTEE_RETURN_IF_ERROR(fault_hook_->OnNodeStart(node));
-    }
-    const int64_t node_cpu0 = util::ThreadCpuMicros();
-
-    // In-place / move fast path for unary ops whose input dies here.
-    const bool input_dies =
-        node.inputs.size() == 1 &&
-        last_use_[static_cast<size_t>(node.inputs[0])] == node.id &&
-        !is_output_[static_cast<size_t>(node.inputs[0])];
-    if (config_.inplace_activations && input_dies &&
-        (node.op == OpType::kRelu || node.op == OpType::kRelu6 ||
-         node.op == OpType::kHardSwish || node.op == OpType::kIdentity)) {
-      Tensor t = std::move(*env[static_cast<size_t>(node.inputs[0])]);
-      env[static_cast<size_t>(node.inputs[0])].reset();
-      float* d = t.data();
-      // Same dispatched primitives the copying kernels use (AVX2 tier
-      // with bitwise-identical scalar fallback), applied in place.
-      switch (node.op) {
-        case OpType::kRelu:
-          elementwise::Relu(d, d, t.num_elements());
-          break;
-        case OpType::kRelu6:
-          elementwise::Relu6(d, d, t.num_elements());
-          break;
-        case OpType::kHardSwish:
-          elementwise::HardSwish(d, d, t.num_elements());
-          break;
-        default:
-          break;
+  // executor.op.<Op>_us without a thread-CPU read per op: the loop's
+  // thread CPU is read once at each end and split across the ops by
+  // their steady-clock share (DESIGN.md §6).
+  std::vector<int64_t> op_end_ns;
+  op_end_ns.reserve(env.size());
+  const int64_t cpu0 = util::ThreadCpuNanos();
+  const int64_t wall0 = util::NowNanos();
+  const util::Status loop = [&]() -> util::Status {
+    for (const Node& node : graph_.nodes()) {
+      if (node.op == OpType::kInput) continue;
+      if (fault_hook_) {
+        MVTEE_RETURN_IF_ERROR(fault_hook_->OnNodeStart(node));
       }
-      if (fault_hook_) fault_hook_->OnNodeComplete(node, t);
-      env[static_cast<size_t>(node.id)] = std::move(t);
-    } else {
-      MVTEE_ASSIGN_OR_RETURN(Tensor out, ExecuteNode(node, env));
-      if (fault_hook_) fault_hook_->OnNodeComplete(node, out);
-      env[static_cast<size_t>(node.id)] = std::move(out);
-    }
-    op_us_[static_cast<size_t>(node.op)]->Observe(util::ThreadCpuMicros() -
-                                                  node_cpu0);
 
-    // Reclaim buffers whose last consumer was this node.
-    for (NodeId in : node.inputs) {
-      if (last_use_[static_cast<size_t>(in)] == node.id &&
-          !is_output_[static_cast<size_t>(in)]) {
-        env[static_cast<size_t>(in)].reset();
+      // In-place / move fast path for unary ops whose input dies here.
+      const bool input_dies =
+          node.inputs.size() == 1 &&
+          last_use_[static_cast<size_t>(node.inputs[0])] == node.id &&
+          !is_output_[static_cast<size_t>(node.inputs[0])];
+      if (config_.inplace_activations && input_dies &&
+          (node.op == OpType::kRelu || node.op == OpType::kRelu6 ||
+           node.op == OpType::kHardSwish || node.op == OpType::kIdentity)) {
+        Tensor t = std::move(*env[static_cast<size_t>(node.inputs[0])]);
+        env[static_cast<size_t>(node.inputs[0])].reset();
+        float* d = t.data();
+        // Same dispatched primitives the copying kernels use (AVX2 tier
+        // with bitwise-identical scalar fallback), applied in place.
+        switch (node.op) {
+          case OpType::kRelu:
+            elementwise::Relu(d, d, t.num_elements());
+            break;
+          case OpType::kRelu6:
+            elementwise::Relu6(d, d, t.num_elements());
+            break;
+          case OpType::kHardSwish:
+            elementwise::HardSwish(d, d, t.num_elements());
+            break;
+          default:
+            break;
+        }
+        if (fault_hook_) fault_hook_->OnNodeComplete(node, t);
+        env[static_cast<size_t>(node.id)] = std::move(t);
+      } else {
+        MVTEE_ASSIGN_OR_RETURN(Tensor out, ExecuteNode(node, env));
+        if (fault_hook_) fault_hook_->OnNodeComplete(node, out);
+        env[static_cast<size_t>(node.id)] = std::move(out);
       }
+
+      // Reclaim buffers whose last consumer was this node.
+      for (NodeId in : node.inputs) {
+        if (last_use_[static_cast<size_t>(in)] == node.id &&
+            !is_output_[static_cast<size_t>(in)]) {
+          env[static_cast<size_t>(in)].reset();
+        }
+      }
+      op_end_ns.push_back(util::NowNanos());
     }
-  }
+    return util::OkStatus();
+  }();
+  // A completed loop ends at its last op boundary. A failed one ends
+  // now, so the failed op's share of the CPU is observed by no op.
+  const int64_t wall1 =
+      loop.ok() && !op_end_ns.empty() ? op_end_ns.back() : util::NowNanos();
+  ObserveOpCpu(util::ThreadCpuNanos() - cpu0, wall0, wall1, op_end_ns);
+  MVTEE_RETURN_IF_ERROR(loop);
 
   // env dies with this call, so outputs move out of it; only a node
   // listed again later in outputs() is copied, to keep its value for
@@ -407,6 +421,26 @@ util::Result<std::vector<Tensor>> Executor::Run(
     std::this_thread::sleep_for(elapsed * (config_.slowdown_factor - 1.0));
   }
   return outputs;
+}
+
+// Cumulative rounding: with C the loop's CPU, W its wall span and S_i
+// the wall offset of op i's end, op i observes round(C·S_i/W) −
+// round(C·S_{i−1}/W) µs. Values are >= 0 and telescope, so one Run's
+// values sum to C in whole µs when S_n = W (a completed loop).
+void Executor::ObserveOpCpu(int64_t cpu_ns, int64_t wall0, int64_t wall1,
+                            const std::vector<int64_t>& op_end_ns) const {
+  const __int128 span = std::max<int64_t>(wall1 - wall0, 1);
+  size_t i = 0;
+  int64_t prev_us = 0;
+  for (const Node& node : graph_.nodes()) {
+    if (i == op_end_ns.size()) break;
+    if (node.op == OpType::kInput) continue;
+    const __int128 offset = op_end_ns[i++] - wall0;
+    const auto cum_us =
+        static_cast<int64_t>((cpu_ns * offset + span * 500) / (span * 1000));
+    op_us_[static_cast<size_t>(node.op)]->Observe(cum_us - prev_us);
+    prev_us = cum_us;
+  }
 }
 
 }  // namespace mvtee::runtime

@@ -102,12 +102,18 @@ class Executor {
   util::Result<tensor::Tensor> ExecuteNode(
       const graph::Node& node, std::vector<std::optional<tensor::Tensor>>& env);
 
+  // Observes one value per completed op: the op loop's thread CPU
+  // `cpu_ns`, split by each op's share of the loop's steady-clock span
+  // [wall0, wall1]. `op_end_ns[i]` is when the i-th executed op ended.
+  void ObserveOpCpu(int64_t cpu_ns, int64_t wall0, int64_t wall1,
+                    const std::vector<int64_t>& op_end_ns) const;
+
   graph::Graph graph_;
   ExecutorConfig config_;
   PackedWeightCache pack_cache_;
   std::shared_ptr<FaultHook> fault_hook_;
   obs::TraceBuffer* trace_ = &obs::TraceBuffer::Default();
-  // Per-op-type kernel-time histograms ("executor.op.<Name>_us" in the
+  // Per-op-type thread-CPU histograms ("executor.op.<Name>_us" in the
   // default registry), indexed by OpType and resolved at construction.
   static constexpr size_t kNumOpTypes =
       static_cast<size_t>(graph::OpType::kReshape) + 1;

@@ -22,7 +22,10 @@ namespace {
 template <int R>
 void MicroKernel(const float* a, const float* bp, float* c, int64_t i0,
                  int64_t j0, int64_t n, int64_t k) {
+  // -O2 does not fully unroll the row loops on its own, and the
+  // accumulators stay in registers only when they are unrolled.
   __m256 acc0[R], acc1[R];
+#pragma GCC unroll 6
   for (int r = 0; r < R; ++r) {
     acc0[r] = _mm256_setzero_ps();
     acc1[r] = _mm256_setzero_ps();
@@ -31,12 +34,14 @@ void MicroKernel(const float* a, const float* bp, float* c, int64_t i0,
     const float* b_row = bp + p * kAvx2PanelCols;
     const __m256 b0 = _mm256_loadu_ps(b_row);
     const __m256 b1 = _mm256_loadu_ps(b_row + 8);
+#pragma GCC unroll 6
     for (int r = 0; r < R; ++r) {
       const __m256 av = _mm256_set1_ps(a[(i0 + r) * k + p]);
       acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
       acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
     }
   }
+#pragma GCC unroll 6
   for (int r = 0; r < R; ++r) {
     _mm256_storeu_ps(c + (i0 + r) * n + j0, acc0[r]);
     _mm256_storeu_ps(c + (i0 + r) * n + j0 + 8, acc1[r]);

@@ -22,13 +22,15 @@ inline int64_t NowNanos() {
 // CPU time consumed by the calling thread. Used by the virtual-time
 // performance model: on a core-limited simulation host, wall-clock
 // durations include scheduler preemption, while thread CPU time is the
-// faithful cost of the work itself.
-inline int64_t ThreadCpuMicros() {
+// faithful cost of the work itself. Each read is a clock_gettime
+// syscall (no vDSO fast path), several times the cost of NowNanos.
+inline int64_t ThreadCpuNanos() {
   timespec ts;
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1'000'000 +
-         ts.tv_nsec / 1'000;
+  return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
 }
+
+inline int64_t ThreadCpuMicros() { return ThreadCpuNanos() / 1'000; }
 
 // Simple scoped timer accumulating into an int64 microsecond counter.
 class ScopedTimer {

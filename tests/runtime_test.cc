@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 
 #include "graph/builder.h"
@@ -14,6 +15,7 @@
 #include "runtime/kernels.h"
 #include "runtime/pack_cache.h"
 #include "util/buffer_pool.h"
+#include "util/clock.h"
 #include "util/cpu_features.h"
 #include "util/rng.h"
 
@@ -761,6 +763,133 @@ TEST(ExecutorTest, FaultHookCrashPropagates) {
   auto out = (*exec)->Run({input});
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), util::StatusCode::kAborted);
+}
+
+// Per-op CPU accounting: every executed op observes its
+// executor.op.<Op>_us histogram once per Run, with a share of the op
+// loop's thread CPU.
+
+// executor.op.* histograms of the default registry (which every
+// executor records into), by name.
+std::map<std::string, obs::HistogramStats> OpHistograms() {
+  std::map<std::string, obs::HistogramStats> out;
+  for (const auto& [name, stats] :
+       obs::Registry::Default().Snapshot().histograms) {
+    if (name.rfind("executor.op.", 0) == 0) out[name] = stats;
+  }
+  return out;
+}
+
+// Executed ops per histogram among the first `limit` nodes of `g`
+// (input nodes are not executed).
+std::map<std::string, uint64_t> OpsPerHistogram(const Graph& g,
+                                                NodeId limit) {
+  std::map<std::string, uint64_t> out;
+  for (const graph::Node& node : g.nodes()) {
+    if (node.id >= limit) break;
+    if (node.op == graph::OpType::kInput) continue;
+    ++out["executor.op." + std::string(graph::OpTypeName(node.op)) + "_us"];
+  }
+  return out;
+}
+
+// Observations added between two OpHistograms() snapshots must equal
+// `runs` x `per_run` exactly, histogram by histogram.
+void ExpectOpCounts(const std::map<std::string, obs::HistogramStats>& before,
+                    const std::map<std::string, obs::HistogramStats>& after,
+                    const std::map<std::string, uint64_t>& per_run,
+                    uint64_t runs) {
+  for (const auto& [name, stats] : after) {
+    const uint64_t base = before.count(name) ? before.at(name).count : 0;
+    const uint64_t want = per_run.count(name) ? runs * per_run.at(name) : 0;
+    EXPECT_EQ(stats.count - base, want) << name;
+  }
+  for (const auto& [name, ops] : per_run) {
+    EXPECT_TRUE(after.count(name)) << name;
+  }
+}
+
+// Sum of the values the executor.op.* histograms took between the two
+// snapshots.
+double OpSumDelta(const std::map<std::string, obs::HistogramStats>& before,
+                  const std::map<std::string, obs::HistogramStats>& after) {
+  double sum = 0;
+  for (const auto& [name, stats] : after) {
+    sum += stats.sum - (before.count(name) ? before.at(name).sum : 0);
+  }
+  return sum;
+}
+
+TEST(ExecutorOpCpuTest, EveryRunObservesEachExecutedOpOnce) {
+  // The ORT-like preset folds BN into Identity and runs activations in
+  // place, so the executor's own graph is what it counts.
+  for (const ExecutorConfig& cfg :
+       {ReferenceExecutorConfig(), OrtLikeExecutorConfig()}) {
+    auto exec = Executor::Create(SmallConvNet(), cfg);
+    ASSERT_TRUE(exec.ok());
+    util::Rng rng(11);
+    auto input = Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng);
+    constexpr uint64_t kRuns = 7;
+    const auto before = OpHistograms();
+    for (uint64_t r = 0; r < kRuns; ++r) {
+      ASSERT_TRUE((*exec)->Run({input}).ok());
+    }
+    const Graph& g = (*exec)->graph();
+    ExpectOpCounts(before, OpHistograms(),
+                   OpsPerHistogram(g, g.num_nodes()), kRuns);
+  }
+}
+
+TEST(ExecutorOpCpuTest, RunValuesSumToAtMostItsThreadCpu) {
+  auto exec = Executor::Create(SmallConvNet(), OrtLikeExecutorConfig());
+  ASSERT_TRUE(exec.ok());
+  util::Rng rng(12);
+  auto input = Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng);
+  for (int r = 0; r < 20; ++r) {
+    const auto before = OpHistograms();
+    const int64_t cpu0 = util::ThreadCpuMicros();
+    ASSERT_TRUE((*exec)->Run({input}).ok());
+    const int64_t run_cpu_us = util::ThreadCpuMicros() - cpu0;
+    const auto after = OpHistograms();
+    // Histogram::Observe clamps a negative value to 0, so a value below
+    // 0 cannot be seen alone: it would lift the sum above the loop's
+    // CPU, which this bounds. The 1 µs covers truncating both readings
+    // of run_cpu_us to whole µs.
+    EXPECT_LE(OpSumDelta(before, after), static_cast<double>(run_cpu_us + 1))
+        << "run " << r;
+  }
+}
+
+TEST(ExecutorOpCpuTest, FailedRunObservesExactlyTheOpsBeforeTheFailure) {
+  auto exec = Executor::Create(SmallConvNet(), ReferenceExecutorConfig());
+  ASSERT_TRUE(exec.ok());
+  const Graph& g = (*exec)->graph();
+  // Fail mid-graph, at the first Add: the convs, BN and ReLU before it
+  // have completed.
+  NodeId fail_at = graph::kInvalidNode;
+  for (const graph::Node& node : g.nodes()) {
+    if (node.op == graph::OpType::kAdd) {
+      fail_at = node.id;
+      break;
+    }
+  }
+  ASSERT_NE(fail_at, graph::kInvalidNode);
+  (*exec)->SetFaultHook(std::make_shared<CrashHook>(g.node(fail_at).name));
+  util::Rng rng(13);
+  auto input = Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng);
+  constexpr uint64_t kRuns = 3;
+  const auto first = OpHistograms();
+  for (uint64_t r = 0; r < kRuns; ++r) {
+    const auto before = OpHistograms();
+    const int64_t cpu0 = util::ThreadCpuMicros();
+    auto out = (*exec)->Run({input});
+    const int64_t run_cpu_us = util::ThreadCpuMicros() - cpu0;
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), util::StatusCode::kAborted);
+    EXPECT_LE(OpSumDelta(before, OpHistograms()),
+              static_cast<double>(run_cpu_us + 1));
+  }
+  ExpectOpCounts(first, OpHistograms(), OpsPerHistogram(g, fail_at), kRuns);
 }
 
 // Full zoo end-to-end under the optimized executor.
