@@ -25,6 +25,12 @@
 //      is small next to what every op pays on top of it: dispatch,
 //      buffer reclamation and the executor.op.* instrumentation.
 //      Report only, no floor.
+//   5. Narrow-map convs: one-conv graphs through Executor::Run on the
+//      shapes of the mvx panel stages (1x1 convs on 1x1 and 2x2 maps, a
+//      5x5 depthwise conv on 1x1), per backend, with the pack cache on
+//      and off. Report only, no floor; the outputs of cache on, cache
+//      off and forced scalar are compared bitwise in-process and a
+//      mismatch fails the run.
 //
 // Results go to stdout and to a JSON summary at $MVTEE_BENCH_JSON
 // (default ./BENCH_kernels.json). Floors the host cannot fail are
@@ -34,6 +40,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -41,6 +48,7 @@
 #include "runtime/executor.h"
 #include "runtime/gemm.h"
 #include "runtime/kernels.h"
+#include "runtime/pack_cache.h"
 #include "tensor/tensor.h"
 #include "util/buffer_pool.h"
 #include "util/cpu_features.h"
@@ -328,6 +336,68 @@ double RunExecutorPerOp() {
          (iters * kChainOps) * 1e9;
 }
 
+// ------------------------------------------------- narrow-map convs
+
+struct NarrowResult {
+  const char* layer = "";
+  std::string preset;
+  double cache_on_us = 0.0;   // per Executor::Run of the one-conv graph
+  double cache_off_us = 0.0;  // under ScopedDisablePackCache
+  bool bitwise_equal = false;
+};
+
+// Median us per Run of a graph holding one conv, input [1, C, H, H],
+// `groups` groups, same padding.
+NarrowResult RunNarrowConv(const char* layer, runtime::ExecutorConfig config,
+                           int64_t C, int64_t H, int64_t OC, int64_t K,
+                           int64_t groups) {
+  graph::ModelBuilder b(11);
+  graph::NodeId x = b.Input("x", Shape({1, C, H, H}));
+  x = b.Conv(x, OC, K, 1, K / 2, groups, /*bias=*/true);
+  b.MarkOutput(x);
+  config.slowdown_factor = 1.0;  // time the kernels, not the sleep
+  auto exec = runtime::Executor::Create(b.Build(), config);
+  MVTEE_CHECK(exec.ok());
+  util::Rng rng(static_cast<uint64_t>(C * 7 + OC));
+  const std::vector<Tensor> inputs = {
+      Tensor::RandomUniform(Shape({1, C, H, H}), rng)};
+  auto run = [&] {
+    auto out = (*exec)->Run(inputs);
+    MVTEE_CHECK(out.ok());
+    return std::move((*out)[0]);
+  };
+
+  NarrowResult r;
+  r.layer = layer;
+  r.preset = config.name;
+  const Tensor on = run();
+  Tensor off, scalar;
+  {
+    runtime::ScopedDisablePackCache cache_off;
+    off = run();
+  }
+  {
+    util::ScopedForceScalar force_scalar;
+    scalar = run();
+  }
+  r.bitwise_equal =
+      std::memcmp(on.data(), off.data(), on.byte_size()) == 0 &&
+      std::memcmp(on.data(), scalar.data(), on.byte_size()) == 0;
+  const int iters = 200;
+  auto time_runs = [&] {
+    return TimeMedian(15, [&] {
+             for (int i = 0; i < iters; ++i) run();
+           }) /
+           iters * 1e6;
+  };
+  r.cache_on_us = time_runs();
+  {
+    runtime::ScopedDisablePackCache cache_off;
+    r.cache_off_us = time_runs();
+  }
+  return r;
+}
+
 // --------------------------------------------------------------- main
 
 const char* BackendName(runtime::GemmBackend b) {
@@ -344,7 +414,8 @@ void WriteJson(const std::vector<PrepackResult>& packs,
                const std::vector<ConvResult>& convs,
                const std::vector<DepthwiseResult>& dws, double dw_blocked_x,
                const std::vector<ElementwiseResult>& elws,
-               uint64_t steady_pool_misses, double executor_ns_per_op) {
+               uint64_t steady_pool_misses, double executor_ns_per_op,
+               const std::vector<NarrowResult>& narrow) {
   const char* path = std::getenv("MVTEE_BENCH_JSON");
   if (path == nullptr) path = "BENCH_kernels.json";
   std::FILE* f = std::fopen(path, "w");
@@ -420,8 +491,20 @@ void WriteJson(const std::vector<PrepackResult>& packs,
   }
   std::fprintf(f,
                "  ],\n  \"executor_per_op\": {\"chain\": \"%d x relu [1,16]\", "
-               "\"preset\": \"reference\", \"ns_per_op\": %.1f}\n}\n",
+               "\"preset\": \"reference\", \"ns_per_op\": %.1f},\n"
+               "  \"narrow_conv\": [\n",
                kChainOps, executor_ns_per_op);
+  for (size_t i = 0; i < narrow.size(); ++i) {
+    const NarrowResult& r = narrow[i];
+    std::fprintf(f,
+                 "    {\"layer\": \"%s\", \"preset\": \"%s\", "
+                 "\"cache_on_us\": %.2f, \"cache_off_us\": %.2f, "
+                 "\"bitwise_equal\": %s}%s\n",
+                 r.layer, r.preset.c_str(), r.cache_on_us, r.cache_off_us,
+                 r.bitwise_equal ? "true" : "false",
+                 i + 1 < narrow.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
 }
@@ -582,14 +665,41 @@ int Main() {
   std::printf("ns per executed op: %.1f  (report only)\n",
               executor_ns_per_op);
 
+  // 5. Narrow-map convs (report only; bitwise checked).
+  std::printf("\nNarrow-map convs, one-conv graph per Executor::Run\n");
+  PrintRule();
+  std::printf("%-24s %-9s | %11s %12s | %s\n", "layer", "preset",
+              "cache on us", "cache off us", "bitwise");
+  std::vector<NarrowResult> narrow;
+  bool narrow_bits_ok = true;
+  for (const runtime::ExecutorConfig& config :
+       {runtime::OrtLikeExecutorConfig(), runtime::TvmLikeExecutorConfig(),
+        runtime::HardenedExecutorConfig()}) {
+    narrow.push_back(
+        RunNarrowConv("1x1 240->320 @1x1", config, 240, 1, 320, 1, 1));
+    narrow.push_back(
+        RunNarrowConv("1x1 40->240 @1x1", config, 40, 1, 240, 1, 1));
+    narrow.push_back(
+        RunNarrowConv("1x1 32->192 @2x2", config, 32, 2, 192, 1, 1));
+    narrow.push_back(
+        RunNarrowConv("dw 5x5 240ch @1x1", config, 240, 1, 240, 5, 240));
+  }
+  for (const NarrowResult& r : narrow) {
+    narrow_bits_ok = narrow_bits_ok && r.bitwise_equal;
+    std::printf("%-24s %-9s | %11.2f %12.2f | %s\n", r.layer, r.preset.c_str(),
+                r.cache_on_us, r.cache_off_us,
+                r.bitwise_equal ? "equal" : "** DIFFERS **");
+  }
+
   WriteJson(packs, convs, dws, dw_blocked_x, elws, steady_pool_misses,
-            executor_ns_per_op);
+            executor_ns_per_op, narrow);
   bool pack_ok = true;
   for (const PrepackResult& r : packs) {
     if (r.floor_applies && r.speedup() < 1.3) pack_ok = false;
   }
   const bool ok = pack_ok && steady_pool_misses == 0 && elw_ok &&
-                  dw_bits_ok && dw_blocked_x >= kDepthwiseFloor;
+                  dw_bits_ok && dw_blocked_x >= kDepthwiseFloor &&
+                  narrow_bits_ok;
   return ok ? 0 : 1;
 }
 

@@ -142,7 +142,8 @@ size_t FoldBatchNormPass(graph::Graph& g,
   return folds;
 }
 
-Executor::Executor(Graph graph, ExecutorConfig config)
+Executor::Executor(Graph graph, ExecutorConfig config,
+                   const std::vector<tensor::Shape>& shapes)
     : graph_(std::move(graph)), config_(std::move(config)) {
   const size_t n = static_cast<size_t>(graph_.num_nodes());
   last_use_.assign(n, graph::kInvalidNode);
@@ -162,27 +163,37 @@ Executor::Executor(Graph graph, ExecutorConfig config)
           "executor.op." + std::string(graph::OpTypeName(node.op)) + "_us");
     }
   }
-  // Pack constant GEMM operands once for this executor's backend; the
-  // graph copy is frozen by Create, so the cached bytes cannot go
-  // stale. Honors MVTEE_PACK_CACHE=0 (stays unbound; hot path falls
-  // back to per-call packing with bitwise-identical outputs).
-  pack_cache_.Bind(graph_, config_.gemm);
+  // Conv and FC operands, resolved once: the graph copy is frozen by
+  // Create, so these pointers and the cached packs cannot go stale.
+  operands_.resize(n);
+  for (const Node& node : graph_.nodes()) {
+    if (node.op != OpType::kConv2d && node.op != OpType::kGemm) continue;
+    NodeOperands& op = operands_[static_cast<size_t>(node.id)];
+    op.weight = graph_.FindInitializer(node.weights[0]);
+    if (node.weights.size() >= 2) {
+      op.bias = graph_.FindInitializer(node.weights[1]);
+    }
+    if (node.op == OpType::kConv2d) op.conv = ConvParamsOf(node);
+  }
+  // Pack constant operands once for this executor's backend. Honors
+  // MVTEE_PACK_CACHE=0 (stays unbound; the hot path falls back to
+  // per-call packing with bitwise-identical outputs).
+  pack_cache_.Bind(graph_, shapes, config_.gemm, config_.conv_algo);
 }
 
 util::Result<std::unique_ptr<Executor>> Executor::Create(
     const Graph& graph, ExecutorConfig config) {
   MVTEE_RETURN_IF_ERROR(graph.Validate());
-  {
-    auto shapes = graph.InferShapes();
-    if (!shapes.ok()) return shapes.status();
-  }
+  // Passes change weights, not shapes.
+  MVTEE_ASSIGN_OR_RETURN(const std::vector<tensor::Shape> shapes,
+                         graph.InferShapes());
   Graph private_copy = graph;  // value copy; passes mutate it
   if (config.fold_batch_norm) FoldBatchNormPass(private_copy);
   // All weight-mutating passes have run; freeze before the weight
   // cache aliases initializer storage.
   private_copy.FreezeInitializers();
   return std::unique_ptr<Executor>(
-      new Executor(std::move(private_copy), std::move(config)));
+      new Executor(std::move(private_copy), std::move(config), shapes));
 }
 
 util::Result<Tensor> Executor::ExecuteNode(
@@ -198,21 +209,16 @@ util::Result<Tensor> Executor::ExecuteNode(
     case OpType::kInput:
       return util::Internal("input node executed");
     case OpType::kConv2d: {
-      ConvParams params;
-      params.stride = node.attrs.GetInt("stride", 1);
-      params.padding = node.attrs.GetInt("padding", 0);
-      params.groups = node.attrs.GetInt("groups", 1);
-      const Tensor* bias = node.weights.size() >= 2 ? weight(1) : nullptr;
+      const NodeOperands& op = operands_[static_cast<size_t>(node.id)];
       if (config_.bounds_checked) {
         // Hardened path: validate operand extents before the kernel runs
         // (aborts on contract violation instead of corrupting memory),
         // and touch every element — modeling sanitizer instrumentation.
         const Tensor& x = in(0);
-        const Tensor* w = weight(0);
         MVTEE_CHECK(static_cast<int64_t>(x.storage_size()) ==
                     x.shape().num_elements());
-        MVTEE_CHECK(static_cast<int64_t>(w->storage_size()) ==
-                    w->shape().num_elements());
+        MVTEE_CHECK(static_cast<int64_t>(op.weight->storage_size()) ==
+                    op.weight->shape().num_elements());
         float guard = 0.0f;
         for (int64_t i = 0; i < x.num_elements(); ++i) {
           guard = guard + x.data()[i] * 0.0f;
@@ -220,14 +226,13 @@ util::Result<Tensor> Executor::ExecuteNode(
         static thread_local volatile float g_guard_sink [[maybe_unused]];
         g_guard_sink = guard;
       }
-      pack_cache_.TouchConv(node.weights[0]);
-      return Conv2d(in(0), *weight(0), bias, params, config_.conv_algo,
-                    config_.gemm);
+      return Conv2d(in(0), *op.weight, op.bias, op.conv, config_.conv_algo,
+                    config_.gemm, pack_cache_.FindConv(node.id));
     }
     case OpType::kGemm: {
-      const Tensor* bias = node.weights.size() >= 2 ? weight(1) : nullptr;
-      return FullyConnected(in(0), *weight(0), bias, config_.gemm,
-                            pack_cache_.FindGemm(node.weights[0]));
+      const NodeOperands& op = operands_[static_cast<size_t>(node.id)];
+      return FullyConnected(in(0), *op.weight, op.bias, config_.gemm,
+                            pack_cache_.FindGemm(node.id));
     }
     case OpType::kRelu: return Relu(in(0));
     case OpType::kRelu6: return Relu6(in(0));

@@ -97,7 +97,9 @@ class Executor {
   const PackedWeightCache& pack_cache() const { return pack_cache_; }
 
  private:
-  Executor(graph::Graph graph, ExecutorConfig config);
+  // `shapes`: the graph's inferred shapes, indexed by node id.
+  Executor(graph::Graph graph, ExecutorConfig config,
+           const std::vector<tensor::Shape>& shapes);
 
   util::Result<tensor::Tensor> ExecuteNode(
       const graph::Node& node, std::vector<std::optional<tensor::Tensor>>& env);
@@ -108,8 +110,17 @@ class Executor {
   void ObserveOpCpu(int64_t cpu_ns, int64_t wall0, int64_t wall1,
                     const std::vector<int64_t>& op_end_ns) const;
 
+  // A conv's or FC's initializers and conv params, resolved at
+  // construction so ExecuteNode looks up no attribute or name for them.
+  struct NodeOperands {
+    const tensor::Tensor* weight = nullptr;
+    const tensor::Tensor* bias = nullptr;
+    ConvParams conv;
+  };
+
   graph::Graph graph_;
   ExecutorConfig config_;
+  std::vector<NodeOperands> operands_;  // indexed by node id
   PackedWeightCache pack_cache_;
   std::shared_ptr<FaultHook> fault_hook_;
   obs::TraceBuffer* trace_ = &obs::TraceBuffer::Default();

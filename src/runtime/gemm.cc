@@ -33,16 +33,80 @@ bool GemmBlockedAccelerated() { return internal::UseAvx2ElementwiseTier(); }
 
 namespace {
 
+// kNaive's add: acc + prod with the accumulator as the first source
+// operand, which x86 returns when both are NaN. It is the order GCC gave
+// the one-chain loop this backend ran before its chains were
+// interleaved; pinned, no build or register allocation can flip it.
+// kNaive keeps its own copy of this one instruction, as it keeps its own
+// loops (DESIGN.md section 10).
+inline float NaiveAdd(float acc, float prod) {
+#if defined(__SSE2__)
+  asm("addss %1, %0" : "+x"(acc) : "x"(prod));
+  return acc;
+#else
+  return acc + prod;
+#endif
+}
+
+// Each kNaive output is one chain, acc = +0; acc += a[p]*b[p] in k
+// order, mul then add, and a chain alone runs at add latency. This many
+// chains run side by side, enough to keep both add ports busy.
+constexpr int kNaiveChains = 8;
+
+// R chains: rows i..i+R-1 of column j (kRows), or columns j..j+R-1 of
+// row i.
+template <int R, bool kRows>
+void NaiveChains(const float* a, const float* b, float* c, int64_t i,
+                 int64_t j, int64_t n, int64_t k) {
+  const float* a_rows[R];
+  const float* b_cols[R];
+  float acc[R];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    a_rows[r] = a + (kRows ? i + r : i) * k;
+    b_cols[r] = b + (kRows ? j : j + r);
+    acc[r] = 0.0f;
+  }
+  for (int64_t p = 0; p < k; ++p) {
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      acc[r] = NaiveAdd(acc[r], a_rows[r][p] * b_cols[r][p * n]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    c[(kRows ? i + r : i) * n + (kRows ? j : j + r)] = acc[r];
+  }
+}
+
+// Rows [i, m) in blocks of R rows per column, then R/2, ... 1.
+template <int R>
+void NaiveRowBlocks(const float* a, const float* b, float* c, int64_t i,
+                    int64_t m, int64_t n, int64_t k) {
+  for (; i + R <= m; i += R) {
+    for (int64_t j = 0; j < n; ++j) NaiveChains<R, true>(a, b, c, i, j, n, k);
+  }
+  if constexpr (R > 1) NaiveRowBlocks<R / 2>(a, b, c, i, m, n, k);
+}
+
+// Columns of row i in blocks of R, then R/2, ... 1.
+template <int R>
+void NaiveColumnBlocks(const float* a, const float* b, float* c, int64_t i,
+                       int64_t j, int64_t n, int64_t k) {
+  for (; j + R <= n; j += R) NaiveChains<R, false>(a, b, c, i, j, n, k);
+  if constexpr (R > 1) NaiveColumnBlocks<R / 2>(a, b, c, i, j, n, k);
+}
+
+// Rows in flight for the hardened preset's convs (m is the output
+// channels), columns for its FC on a few requests (m is the batch).
 void GemmNaive(const float* a, const float* b, float* c, int64_t m, int64_t n,
                int64_t k) {
+  if (m >= kNaiveChains) {
+    NaiveRowBlocks<kNaiveChains>(a, b, c, 0, m, n, k);
+    return;
+  }
   for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      float acc = 0.0f;
-      for (int64_t p = 0; p < k; ++p) {
-        acc += a[i * k + p] * b[p * n + j];
-      }
-      c[i * n + j] = acc;
-    }
+    NaiveColumnBlocks<kNaiveChains>(a, b, c, i, 0, n, k);
   }
 }
 
@@ -125,10 +189,22 @@ bool WorthSharding(int64_t m, int64_t n, int64_t k) {
   return m > kTile && m * n * k >= (int64_t{1} << 22);
 }
 
-void GemmBlocked(const float* a, const float* b, float* c, int64_t m,
-                 int64_t n, int64_t k, util::ThreadPool* pool) {
+// `panels` (nullable) is A packed by PackBlockedPanels. The AVX2 tier
+// reads A from it when C is narrow; both read the same values in the
+// same order, and 64-row tiles start on a panel boundary.
+void GemmBlocked(const float* a, const float* panels, const float* b,
+                 float* c, int64_t m, int64_t n, int64_t k,
+                 util::ThreadPool* pool) {
+  auto compute_rows = [&](int64_t row0, int64_t row1) {
+    if (panels != nullptr && n < internal::kBlockedPanelRows &&
+        GemmBlockedAccelerated()) {
+      internal::GemmBlockedAvx2Panels(panels, b, c, row0, row1, n, k);
+    } else {
+      GemmBlockedRows(a, b, c, row0, row1, n, k);
+    }
+  };
   if (pool == nullptr || !WorthSharding(m, n, k)) {
-    GemmBlockedRows(a, b, c, 0, m, n, k);
+    compute_rows(0, m);
     return;
   }
   static obs::Counter& parallel_tiles =
@@ -137,7 +213,7 @@ void GemmBlocked(const float* a, const float* b, float* c, int64_t m,
   parallel_tiles.Add(tiles);
   pool->ParallelFor(tiles, [&](size_t t) {
     const int64_t row0 = static_cast<int64_t>(t) * kTile;
-    GemmBlockedRows(a, b, c, row0, std::min(row0 + kTile, m), n, k);
+    compute_rows(row0, std::min(row0 + kTile, m));
   });
 }
 
@@ -254,29 +330,103 @@ void GemmAvx2(const float* a, const float* b, float* c, int64_t m, int64_t n,
   });
 }
 
+// Four partial sums of one kTransposed output (baseline SSE on x86-64).
+using TransposedLanes = float __attribute__((vector_size(16)));
+
+// kTransposed's adds, x + y with x as the first source operand. Like
+// NaiveAdd they pin the order GCC gave the one-output loop at -O2, and
+// kTransposed keeps its own copy.
+inline TransposedLanes TransposedAdd(TransposedLanes x, TransposedLanes y) {
+#if defined(__SSE2__)
+  asm("addps %1, %0" : "+x"(x) : "x"(y));
+  return x;
+#else
+  return x + y;
+#endif
+}
+
+inline float TransposedAdd(float x, float y) {
+#if defined(__SSE2__)
+  asm("addss %1, %0" : "+x"(x) : "x"(y));
+  return x;
+#else
+  return x + y;
+#endif
+}
+
+// kTransposed keeps this many outputs in flight, each a four-lane chain.
+constexpr int kTransposedChains = 4;
+
+// R outputs of the transposed backend over a column-major B (bt[j*k +
+// p]): rows i..i+R-1 of column j (kRows), or columns j..j+R-1 of row i.
+// Each output keeps four partial sums s0..s3 over p mod 4 in its own
+// vector (s += b*a, accumulator first), then adds (s0+s1)+(s2+s3) as
+// (s2+s3) + (s1+s0), each sum's left operand first, then the k mod 4
+// remaining terms in order. A distinct accumulation order from the
+// other backends.
+template <int R, bool kRows>
+void TransposedChains(const float* a, const float* bt, float* c, int64_t i,
+                      int64_t j, int64_t n, int64_t k) {
+  const float* a_rows[R];
+  const float* b_cols[R];
+  TransposedLanes s[R];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    a_rows[r] = a + (kRows ? i + r : i) * k;
+    b_cols[r] = bt + (kRows ? j : j + r) * k;
+    s[r] = TransposedLanes{};
+  }
+  int64_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      TransposedLanes a4, b4;
+      std::memcpy(&a4, a_rows[r] + p, sizeof(a4));
+      std::memcpy(&b4, b_cols[r] + p, sizeof(b4));
+      s[r] = TransposedAdd(s[r], b4 * a4);
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    float acc = TransposedAdd(TransposedAdd(s[r][2], s[r][3]),
+                              TransposedAdd(s[r][1], s[r][0]));
+    for (int64_t q = p; q < k; ++q) {
+      acc = TransposedAdd(acc, a_rows[r][q] * b_cols[r][q]);
+    }
+    c[(kRows ? i + r : i) * n + (kRows ? j : j + r)] = acc;
+  }
+}
+
+template <int R>
+void TransposedRowBlocks(const float* a, const float* bt, float* c, int64_t i,
+                         int64_t m, int64_t n, int64_t k) {
+  for (; i + R <= m; i += R) {
+    for (int64_t j = 0; j < n; ++j) {
+      TransposedChains<R, true>(a, bt, c, i, j, n, k);
+    }
+  }
+  if constexpr (R > 1) TransposedRowBlocks<R / 2>(a, bt, c, i, m, n, k);
+}
+
+template <int R>
+void TransposedColumnBlocks(const float* a, const float* bt, float* c,
+                            int64_t i, int64_t j, int64_t n, int64_t k) {
+  for (; j + R <= n; j += R) TransposedChains<R, false>(a, bt, c, i, j, n, k);
+  if constexpr (R > 1) TransposedColumnBlocks<R / 2>(a, bt, c, i, j, n, k);
+}
+
 // Inner product phase of the transposed backend over an already
-// column-major B (bt[j*k + p]); shared by the per-call transpose path
-// and the prepacked path.
+// column-major B; shared by the per-call transpose path and the
+// prepacked path. Rows in flight for convs, columns for an FC on a few
+// requests.
 void GemmTransposedFromBt(const float* a, const float* bt, float* c,
                           int64_t m, int64_t n, int64_t k) {
+  if (m >= kTransposedChains) {
+    TransposedRowBlocks<kTransposedChains>(a, bt, c, 0, m, n, k);
+    return;
+  }
   for (int64_t i = 0; i < m; ++i) {
-    const float* a_row = a + i * k;
-    for (int64_t j = 0; j < n; ++j) {
-      const float* b_col = bt + j * k;
-      // Four-way partial sums: a distinct accumulation order from the
-      // other backends (and measurably faster than strict sequential).
-      float s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-      int64_t p = 0;
-      for (; p + 4 <= k; p += 4) {
-        s0 += a_row[p] * b_col[p];
-        s1 += a_row[p + 1] * b_col[p + 1];
-        s2 += a_row[p + 2] * b_col[p + 2];
-        s3 += a_row[p + 3] * b_col[p + 3];
-      }
-      float acc = (s0 + s1) + (s2 + s3);
-      for (; p < k; ++p) acc += a_row[p] * b_col[p];
-      c[i * n + j] = acc;
-    }
+    TransposedColumnBlocks<kTransposedChains>(a, bt, c, i, 0, n, k);
   }
 }
 
@@ -398,6 +548,31 @@ PackedGemmB PackGemmWeightTransposed(GemmBackend backend, const float* w,
       pool);
 }
 
+util::PooledBuffer PackBlockedPanels(const float* a, int64_t m, int64_t k,
+                                     util::BufferPool* pool) {
+  MVTEE_CHECK(m > 0 && k > 0 && pool != nullptr);
+  constexpr int64_t kRows = internal::kBlockedPanelRows;
+  const int64_t panels = (m + kRows - 1) / kRows;
+  const size_t floats = static_cast<size_t>(panels * k * kRows);
+  util::PooledBuffer out = pool->Acquire(floats * sizeof(float));
+  float* dst = reinterpret_cast<float*>(out.data());
+  for (int64_t q = 0; q < panels; ++q) {
+    for (int64_t p = 0; p < k; ++p) {
+      for (int64_t l = 0; l < kRows; ++l) {
+        const int64_t row = q * kRows + l;
+        dst[(q * k + p) * kRows + l] = row < m ? a[row * k + p] : 0.0f;
+      }
+    }
+  }
+  util::CountDataPlaneCopy(floats * sizeof(float));
+  return out;
+}
+
+void GemmBlockedPacked(const float* a, const float* panels, const float* b,
+                       float* c, int64_t m, int64_t n, int64_t k) {
+  GemmBlocked(a, panels, b, c, m, n, k, &util::ThreadPool::Shared());
+}
+
 void GemmPrepacked(const float* a, const PackedGemmB& packed, float* c,
                    int64_t m) {
   GemmPrepacked(a, packed, c, m, &util::ThreadPool::Shared());
@@ -411,7 +586,7 @@ void GemmPrepacked(const float* a, const PackedGemmB& packed, float* c,
       GemmNaive(a, packed.data(), c, m, packed.n, packed.k);
       return;
     case GemmBackend::kBlocked:
-      GemmBlocked(a, packed.data(), c, m, packed.n, packed.k, pool);
+      GemmBlocked(a, nullptr, packed.data(), c, m, packed.n, packed.k, pool);
       return;
     case GemmBackend::kTransposed:
       GemmTransposedFromBt(a, packed.data(), c, m, packed.n, packed.k);
@@ -432,7 +607,9 @@ void Gemm(GemmBackend backend, const float* a, const float* b, float* c,
           int64_t m, int64_t n, int64_t k, util::ThreadPool* pool) {
   switch (backend) {
     case GemmBackend::kNaive: GemmNaive(a, b, c, m, n, k); return;
-    case GemmBackend::kBlocked: GemmBlocked(a, b, c, m, n, k, pool); return;
+    case GemmBackend::kBlocked:
+      GemmBlocked(a, nullptr, b, c, m, n, k, pool);
+      return;
     case GemmBackend::kTransposed: GemmTransposed(a, b, c, m, n, k); return;
     case GemmBackend::kAvx2: GemmAvx2(a, b, c, m, n, k, pool); return;
   }

@@ -92,6 +92,21 @@ void GemmPrepacked(const float* a, const PackedGemmB& packed, float* c,
 void GemmPrepacked(const float* a, const PackedGemmB& packed, float* c,
                    int64_t m, util::ThreadPool* pool);
 
+// kBlocked's narrow-map operand: a constant A[m][k] (a groups == 1 conv
+// weight, [OC][patch]) packed into 8-row panels P[q][p][l] = A[8q+l][p],
+// zero past m, for the AVX2 tier to load 8 output rows' weights per k
+// step. ceil(m/8)*8*k floats.
+util::PooledBuffer PackBlockedPanels(const float* a, int64_t m, int64_t k,
+                                     util::BufferPool* pool);
+
+// Gemm(kBlocked, a, b, c, m, n, k) with A also packed by
+// PackBlockedPanels, bitwise identical to it. When C is narrower than 8
+// columns and the AVX2 tier dispatches, the tier runs 8 output rows per
+// vector over the panels with at least 8 chains in flight; otherwise
+// `a` is read as Gemm reads it.
+void GemmBlockedPacked(const float* a, const float* panels, const float* b,
+                       float* c, int64_t m, int64_t n, int64_t k);
+
 // Bounds-checked GEMM used by hardened ("sanitizer") variants: every
 // access is validated against the declared extents; out-of-contract
 // calls abort instead of corrupting memory. a_size/b_size/c_size are the

@@ -9,6 +9,7 @@
 #include "runtime/kernels_avx2.h"
 #include "runtime/scratch.h"
 #include "util/cpu_features.h"
+#include "util/dataplane_stats.h"
 
 namespace mvtee::runtime {
 
@@ -82,8 +83,10 @@ void ConvDirect(const Tensor& input, const Tensor& weight, const float* bias,
   }
 }
 
+// `panels`: the weight packed as kBlockedPanels, or nullptr.
 void ConvIm2col(const Tensor& input, const Tensor& weight, const float* bias,
-                const ConvParams& p, GemmBackend gemm, Tensor& out) {
+                const ConvParams& p, GemmBackend gemm, const float* panels,
+                Tensor& out) {
   const int64_t N = input.shape().dim(0), C = input.shape().dim(1),
                 H = input.shape().dim(2), W = input.shape().dim(3);
   const int64_t OC = weight.shape().dim(0), CG = weight.shape().dim(1),
@@ -102,16 +105,13 @@ void ConvIm2col(const Tensor& input, const Tensor& weight, const float* bias,
   const bool identity_cols =
       KH == 1 && KW == 1 && p.stride == 1 && p.padding == 0;
 
-  // Scratch from the buffer pool: steady-state inference recycles these
-  // chunks (pool.hits) instead of hitting the heap per call.
+  // Scratch from the buffer pool: steady-state inference recycles this
+  // chunk (pool.hits) instead of hitting the heap per call.
   util::PooledBuffer col_buf;
   if (!identity_cols) {
     col_buf = AcquireFloatScratch(static_cast<size_t>(patch * cols));
   }
-  util::PooledBuffer result_buf =
-      AcquireFloatScratch(static_cast<size_t>(oc_per_group * cols));
   float* col = identity_cols ? nullptr : FloatScratch(col_buf);
-  float* result = FloatScratch(result_buf);
 
   for (int64_t n = 0; n < N; ++n) {
     for (int64_t g = 0; g < p.groups; ++g) {
@@ -143,20 +143,29 @@ void ConvIm2col(const Tensor& input, const Tensor& weight, const float* bias,
         }
         cols_matrix = col;
       }
-      // GEMM: weight[g] (oc_per_group x patch) * col (patch x cols).
+      // GEMM: weight[g] (oc_per_group x patch) * col (patch x cols),
+      // straight into the group's output planes: C's row ocg is the
+      // plane of channel g * oc_per_group + ocg.
       const float* w_group = weight.data() + g * oc_per_group * patch;
-      Gemm(gemm, w_group, cols_matrix, result, oc_per_group, cols, patch);
-      // Scatter into output with bias (vectorized broadcast-add).
+      float* out_group = out.data() + (n * OC + g * oc_per_group) * cols;
+      if (panels != nullptr) {
+        GemmBlockedPacked(w_group, panels, cols_matrix, out_group,
+                          oc_per_group, cols, patch);
+      } else {
+        Gemm(gemm, w_group, cols_matrix, out_group, oc_per_group, cols,
+             patch);
+      }
+      if (bias == nullptr) continue;
+      const float* bias_group = bias + g * oc_per_group;
+      if (cols == 1) {
+        // A 1x1 map puts the group's outputs side by side: one vector
+        // add over the group, the same result + bias per element.
+        elementwise::Add(out_group, bias_group, out_group, oc_per_group);
+        continue;
+      }
       for (int64_t ocg = 0; ocg < oc_per_group; ++ocg) {
-        const int64_t oc = g * oc_per_group + ocg;
-        float* out_plane = out.data() + (n * OC + oc) * OH * OW;
-        const float* res_row = result + ocg * cols;
-        if (bias) {
-          elementwise::AddScalar(res_row, bias[oc], out_plane, cols);
-        } else {
-          std::memcpy(out_plane, res_row,
-                      static_cast<size_t>(cols) * sizeof(float));
-        }
+        float* plane = out_group + ocg * cols;
+        elementwise::AddScalar(plane, bias_group[ocg], plane, cols);
       }
     }
   }
@@ -174,10 +183,10 @@ void ConvIm2col(const Tensor& input, const Tensor& weight, const float* bias,
 // preset's backend, runs ConvDepthwiseNaive, which shares no code with
 // it, as kNaive shares no GEMM code with kBlocked. kAvx2 keeps im2col:
 // its fmaf chain in this baseline TU is a libm call per tap.
-bool UseDepthwiseLowering(const Tensor& weight, const ConvParams& p,
+bool UseDepthwiseLowering(const Shape& weight, const ConvParams& p,
                           GemmBackend gemm) {
-  return p.groups > 1 && weight.shape().dim(1) == 1 &&
-         weight.shape().dim(0) == p.groups && gemm != GemmBackend::kAvx2;
+  return p.groups > 1 && weight.dim(1) == 1 && weight.dim(0) == p.groups &&
+         gemm != GemmBackend::kAvx2;
 }
 
 // The hardened preset's depthwise loop: one channel at a time over a
@@ -228,6 +237,17 @@ void ConvDepthwiseNaive(const Tensor& input, const Tensor& weight,
 using ChannelLanes = float __attribute__((vector_size(16)));
 constexpr int64_t kChannelLanes = 4;
 
+// One block of `lanes` (<= 4) channels' weights, w[c][t] for c < lanes,
+// as taps x lanes with the spare lanes zero: the layout the depthwise
+// loop reads, from a bind-time pack (kDepthwiseLanes) or from here.
+void InterleaveWeights(const float* w, int64_t lanes, int64_t taps,
+                       ChannelLanes* out) {
+  for (int64_t t = 0; t < taps; ++t) {
+    out[t] = ChannelLanes{};
+    for (int64_t l = 0; l < lanes; ++l) out[t][l] = w[l * taps + t];
+  }
+}
+
 // acc[ow] += w * src[ow * stride] for one output row and one tap: the
 // mul-then-add step of every GEMM order, four channels at a time.
 inline void AccumulateTap(ChannelLanes* __restrict acc, ChannelLanes w,
@@ -236,9 +256,11 @@ inline void AccumulateTap(ChannelLanes* __restrict acc, ChannelLanes w,
   for (int64_t ow = 0; ow < ow_count; ++ow) acc[ow] += w * src[ow * stride];
 }
 
+// `lanes_packed`: the weight packed as kDepthwiseLanes, or nullptr to
+// interleave each block's weights here.
 void ConvDepthwise(const Tensor& input, const Tensor& weight,
-                   const float* bias, const ConvParams& p, GemmBackend gemm,
-                   Tensor& out) {
+                   const ChannelLanes* lanes_packed, const float* bias,
+                   const ConvParams& p, GemmBackend gemm, Tensor& out) {
   const int64_t N = input.shape().dim(0), C = input.shape().dim(1),
                 H = input.shape().dim(2), W = input.shape().dim(3);
   const int64_t KH = weight.shape().dim(2), KW = weight.shape().dim(3);
@@ -262,8 +284,8 @@ void ConvDepthwise(const Tensor& input, const Tensor& weight,
               0);
   ChannelLanes* padded = reinterpret_cast<ChannelLanes*>(scratch.data());
   ChannelLanes* acc_plane = padded + PH * PW;
-  ChannelLanes* w = acc_plane + OH * OW;
-  ChannelLanes* partial = w + taps;
+  ChannelLanes* w_block = acc_plane + OH * OW;
+  ChannelLanes* partial = w_block + taps;
   int64_t* tap_offset = reinterpret_cast<int64_t*>(padded + lane_vectors);
   for (int64_t kh = 0; kh < KH; ++kh) {
     for (int64_t kw = 0; kw < KW; ++kw) tap_offset[kh * KW + kw] = kh * PW + kw;
@@ -276,15 +298,17 @@ void ConvDepthwise(const Tensor& input, const Tensor& weight,
   for (int64_t n = 0; n < N; ++n) {
     for (int64_t c0 = 0; c0 < C; c0 += kChannelLanes) {
       const int64_t lanes = std::min(kChannelLanes, C - c0);
-      if (lanes < kChannelLanes) std::fill(w, w + taps, ChannelLanes{});
+      const ChannelLanes* w = w_block;
+      if (lanes_packed != nullptr) {
+        w = lanes_packed + c0 / kChannelLanes * taps;
+      } else {
+        InterleaveWeights(weight.data() + c0 * taps, lanes, taps, w_block);
+      }
       for (int64_t l = 0; l < lanes; ++l) {
         const float* in_plane = input.data() + (n * C + c0 + l) * H * W;
         for (int64_t h = 0; h < H; ++h) {
           ChannelLanes* row = padded + (h + p.padding) * PW + p.padding;
           for (int64_t x = 0; x < W; ++x) row[x][l] = in_plane[h * W + x];
-        }
-        for (int64_t t = 0; t < taps; ++t) {
-          w[t][l] = weight.data()[(c0 + l) * taps + t];
         }
       }
       for (int64_t oh = 0; oh < OH; ++oh) {
@@ -307,12 +331,16 @@ void ConvDepthwise(const Tensor& input, const Tensor& weight,
           AccumulateTap(acc, w[t], rows + tap_offset[t], OW, p.stride);
         }
       }
+      if (bias) {
+        // acc + bias per element, as the im2col scatter adds it, in lane
+        // space (spare lanes add +0 and are dropped).
+        ChannelLanes b{};
+        for (int64_t l = 0; l < lanes; ++l) b[l] = bias[c0 + l];
+        for (int64_t i = 0; i < OH * OW; ++i) acc_plane[i] = acc_plane[i] + b;
+      }
       for (int64_t l = 0; l < lanes; ++l) {
         float* out_plane = out.data() + (n * C + c0 + l) * OH * OW;
         for (int64_t i = 0; i < OH * OW; ++i) out_plane[i] = acc_plane[i][l];
-        if (bias) {
-          elementwise::AddScalar(out_plane, bias[c0 + l], out_plane, OH * OW);
-        }
       }
     }
   }
@@ -329,8 +357,72 @@ Tensor ElementwiseUnary(const Tensor& x, F f) {
 
 }  // namespace
 
+ConvParams ConvParamsOf(const graph::Node& node) {
+  ConvParams params;
+  params.stride = node.attrs.GetInt("stride", 1);
+  params.padding = node.attrs.GetInt("padding", 0);
+  params.groups = node.attrs.GetInt("groups", 1);
+  return params;
+}
+
+std::optional<ConvPackLayout> ConvPackLayoutFor(const Shape& weight,
+                                                const ConvParams& params,
+                                                ConvAlgo algo,
+                                                GemmBackend gemm,
+                                                int64_t out_pixels) {
+  if (algo != ConvAlgo::kIm2col || weight.rank() != 4 ||
+      weight.num_elements() <= 0) {
+    return std::nullopt;
+  }
+  if (UseDepthwiseLowering(weight, params, gemm)) {
+    if (gemm == GemmBackend::kNaive) return std::nullopt;
+    return ConvPackLayout::kDepthwiseLanes;
+  }
+  if (params.groups == 1 && gemm == GemmBackend::kBlocked &&
+      out_pixels < internal::kBlockedPanelRows) {
+    return ConvPackLayout::kBlockedPanels;
+  }
+  return std::nullopt;
+}
+
+PackedConvWeight PackConvWeight(const Tensor& weight, ConvPackLayout layout,
+                                util::BufferPool* pool) {
+  const Shape& shape = weight.shape();
+  MVTEE_CHECK(shape.rank() == 4 && weight.num_elements() > 0);
+  const int64_t rows = shape.dim(0);
+  const int64_t patch = shape.dim(1) * shape.dim(2) * shape.dim(3);
+  PackedConvWeight out;
+  out.layout = layout;
+  out.weight_shape = shape;
+  if (layout == ConvPackLayout::kBlockedPanels) {
+    out.storage = PackBlockedPanels(weight.data(), rows, patch, pool);
+    return out;
+  }
+  const int64_t blocks = (rows + kChannelLanes - 1) / kChannelLanes;
+  out.storage = pool->Acquire(static_cast<size_t>(blocks * patch) *
+                              sizeof(ChannelLanes));
+  MVTEE_CHECK(reinterpret_cast<uintptr_t>(out.storage.data()) %
+                  alignof(ChannelLanes) ==
+              0);
+  ChannelLanes* dst = reinterpret_cast<ChannelLanes*>(out.storage.data());
+  for (int64_t b = 0; b < blocks; ++b) {
+    const int64_t c0 = b * kChannelLanes;
+    InterleaveWeights(weight.data() + c0 * patch,
+                      std::min(kChannelLanes, rows - c0), patch,
+                      dst + b * patch);
+  }
+  util::CountDataPlaneCopy(out.bytes());
+  return out;
+}
+
 Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
               const ConvParams& params, ConvAlgo algo, GemmBackend gemm) {
+  return Conv2d(input, weight, bias, params, algo, gemm, nullptr);
+}
+
+Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
+              const ConvParams& params, ConvAlgo algo, GemmBackend gemm,
+              const PackedConvWeight* packed) {
   MVTEE_CHECK(input.shape().rank() == 4 && weight.shape().rank() == 4);
   MVTEE_CHECK(params.groups > 0);
   MVTEE_CHECK(weight.shape().dim(0) % params.groups == 0);
@@ -344,16 +436,26 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
   Tensor out(
       Shape({input.shape().dim(0), weight.shape().dim(0), OH, OW}));
   const float* b = bias ? bias->data() : nullptr;
+  const uint8_t* packed_bytes = nullptr;
+  if (packed != nullptr) {
+    MVTEE_CHECK(packed->weight_shape == weight.shape());
+    MVTEE_CHECK(ConvPackLayoutFor(weight.shape(), params, algo, gemm,
+                                  OH * OW) == packed->layout);
+    packed_bytes = packed->storage.data();
+  }
   if (algo == ConvAlgo::kDirect) {
     ConvDirect(input, weight, b, params, out);
-  } else if (UseDepthwiseLowering(weight, params, gemm)) {
+  } else if (UseDepthwiseLowering(weight.shape(), params, gemm)) {
     if (gemm == GemmBackend::kNaive) {
       ConvDepthwiseNaive(input, weight, b, params, out);
     } else {
-      ConvDepthwise(input, weight, b, params, gemm, out);
+      ConvDepthwise(input, weight,
+                    reinterpret_cast<const ChannelLanes*>(packed_bytes), b,
+                    params, gemm, out);
     }
   } else {
-    ConvIm2col(input, weight, b, params, gemm, out);
+    ConvIm2col(input, weight, b, params, gemm,
+               reinterpret_cast<const float*>(packed_bytes), out);
   }
   return out;
 }
@@ -619,6 +721,21 @@ namespace elementwise {
 // exactly (see kernels_avx2.h); both sides round once per operation,
 // so the memcmp parity tests hold for arbitrary inputs.
 
+namespace {
+
+// a + b with a as the first source operand, as the AVX2 tier pins it:
+// the two agree on NaN payloads when both operands are NaN.
+inline float AddFirst(float a, float b) {
+#if defined(__SSE2__)
+  asm("addss %1, %0" : "+x"(a) : "x"(b));
+  return a;
+#else
+  return a + b;
+#endif
+}
+
+}  // namespace
+
 void Relu(const float* in, float* out, int64_t n) {
   if (internal::UseAvx2ElementwiseTier()) {
     internal::ReluAvx2(in, out, n);
@@ -652,7 +769,7 @@ void Add(const float* a, const float* b, float* out, int64_t n) {
     internal::AddAvx2(a, b, out, n);
     return;
   }
-  for (int64_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
+  for (int64_t i = 0; i < n; ++i) out[i] = AddFirst(a[i], b[i]);
 }
 
 void AddScalar(const float* in, float s, float* out, int64_t n) {
@@ -660,7 +777,7 @@ void AddScalar(const float* in, float s, float* out, int64_t n) {
     internal::AddScalarAvx2(in, s, out, n);
     return;
   }
-  for (int64_t i = 0; i < n; ++i) out[i] = in[i] + s;
+  for (int64_t i = 0; i < n; ++i) out[i] = AddFirst(in[i], s);
 }
 
 void Scale(const float* in, float alpha, float beta, float* out, int64_t n) {

@@ -4,6 +4,8 @@
 // diversification axis mirroring different inference-runtime lowerings.
 #pragma once
 
+#include <optional>
+
 #include "graph/ir.h"
 #include "runtime/gemm.h"
 #include "tensor/tensor.h"
@@ -23,12 +25,53 @@ struct ConvParams {
   int64_t groups = 1;
 };
 
+// A kConv2d node's stride, padding and groups attributes.
+ConvParams ConvParamsOf(const graph::Node& node);
+
+// A conv weight packed once at bind (PackedWeightCache) for a narrow-map
+// path, which otherwise re-derives it from the initializer per call:
+//   kBlockedPanels : kBlocked im2col convs with groups == 1 and fewer
+//                    than 8 output pixels: 8-row panels P[q][p][l] =
+//                    W[8q+l][p], zero past OC (PackBlockedPanels).
+//   kDepthwiseLanes: the depthwise loop of kBlocked and kTransposed:
+//                    four channels per block, one per lane, as
+//                    [C/4][taps][4], spare lanes zero.
+enum class ConvPackLayout : uint8_t { kBlockedPanels, kDepthwiseLanes };
+
+struct PackedConvWeight {
+  util::PooledBuffer storage;
+  ConvPackLayout layout = ConvPackLayout::kBlockedPanels;
+  tensor::Shape weight_shape;  // of the initializer it was packed from
+
+  size_t bytes() const { return storage.size(); }
+};
+
+// The layout Conv2d reads a packed weight in for this conv, whose output
+// map has `out_pixels` = OH*OW pixels; nullopt where it reads the
+// initializer as is.
+std::optional<ConvPackLayout> ConvPackLayoutFor(const tensor::Shape& weight,
+                                                const ConvParams& params,
+                                                ConvAlgo algo,
+                                                GemmBackend gemm,
+                                                int64_t out_pixels);
+
+PackedConvWeight PackConvWeight(const tensor::Tensor& weight,
+                                ConvPackLayout layout,
+                                util::BufferPool* pool);
+
 // Aborts (MVTEE_CHECK) unless stride > 0, padding >= 0, groups > 0 and
 // the kernel extents yield positive output dims — garbage conv params
-// must fail loudly, never compute a garbage shape.
+// must fail loudly, never compute a garbage shape. The second overload
+// also reads `packed` (nullptr: none), which must be this weight packed
+// in this conv's ConvPackLayoutFor layout; outputs are bitwise identical
+// either way, since packing only relocates values.
 tensor::Tensor Conv2d(const tensor::Tensor& input, const tensor::Tensor& weight,
                       const tensor::Tensor* bias, const ConvParams& params,
                       ConvAlgo algo, GemmBackend gemm);
+tensor::Tensor Conv2d(const tensor::Tensor& input, const tensor::Tensor& weight,
+                      const tensor::Tensor* bias, const ConvParams& params,
+                      ConvAlgo algo, GemmBackend gemm,
+                      const PackedConvWeight* packed);
 
 // y = x W^T + b, x:[N,IN], w:[OUT,IN]. The second overload consumes a
 // weight prepacked with PackGemmWeightTransposed (the PackedWeightCache

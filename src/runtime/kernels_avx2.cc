@@ -28,6 +28,20 @@ inline void AddProductFirst(__m256 prod, __m256& acc) {
   asm("vaddps %[acc], %[prod], %[acc]" : [acc] "+x"(acc) : [prod] "x"(prod));
 }
 
+// a + b with a as the first source operand, the order the scalar
+// fallbacks of Add and AddScalar pin too (kernels.cc): with both NaN,
+// x86 returns the first source's payload, and GCC may commute a plain
+// add, so without the pin the tiers could disagree on NaN bits.
+inline __m256 AddFirst(__m256 a, __m256 b) {
+  asm("vaddps %[b], %[a], %[a]" : [a] "+x"(a) : [b] "x"(b));
+  return a;
+}
+
+inline float AddFirst(float a, float b) {
+  asm("vaddss %[b], %[a], %[a]" : [a] "+x"(a) : [b] "x"(b));
+  return a;
+}
+
 // R rows x 8*V columns of C accumulated over all of k in registers.
 // kMasked (V == 1 only): the column tail, loading and storing just the
 // lanes set in `mask`; the other lanes compute on zeros and are dropped.
@@ -91,6 +105,64 @@ void BlockedRowBlock(const float* a, const float* b, float* c, int64_t i0,
   if (j0 < n) BlockedTile<R, 1, true>(a, b, c, i0, j0, n, k, tail_mask);
 }
 
+// Q panels (8*Q rows of C) x all N columns, accumulated over all of k
+// in registers: per k step one load of 8 packed weights per panel, one
+// broadcast per column, and Q*N independent chains. Lane l of acc[q][j]
+// is C[8(q0+q)+l][j]; rows at or past `m` are computed on zero weights
+// and dropped.
+template <int Q, int N>
+inline void PanelTile(const float* panels, const float* b, float* c,
+                      int64_t q0, int64_t m, int64_t k) {
+  __m256 acc[Q][N];
+#pragma GCC unroll 8
+  for (int q = 0; q < Q; ++q) {
+#pragma GCC unroll 7
+    for (int j = 0; j < N; ++j) acc[q][j] = _mm256_setzero_ps();
+  }
+  const float* w = panels + q0 * k * kBlockedPanelRows;
+  for (int64_t p = 0; p < k; ++p) {
+    __m256 bv[N];
+#pragma GCC unroll 7
+    for (int j = 0; j < N; ++j) bv[j] = _mm256_broadcast_ss(b + p * N + j);
+#pragma GCC unroll 8
+    for (int q = 0; q < Q; ++q) {
+      const __m256 wv =
+          _mm256_loadu_ps(w + (q * k + p) * kBlockedPanelRows);
+#pragma GCC unroll 7
+      for (int j = 0; j < N; ++j) {
+        AddProductFirst(_mm256_mul_ps(wv, bv[j]), acc[q][j]);
+      }
+    }
+  }
+  for (int q = 0; q < Q; ++q) {
+    const int64_t row0 = (q0 + q) * kBlockedPanelRows;
+    // No std::min: a standard-library template instantiated in this TU
+    // could be the copy the linker keeps for baseline callers.
+    const int64_t live =
+        m - row0 < kBlockedPanelRows ? m - row0 : kBlockedPanelRows;
+    for (int j = 0; j < N; ++j) {
+      alignas(32) float lanes[kBlockedPanelRows];
+      _mm256_store_ps(lanes, acc[q][j]);
+      for (int64_t l = 0; l < live; ++l) c[(row0 + l) * N + j] = lanes[l];
+    }
+  }
+}
+
+// Panels [q, q_end) in tiles of Q, then Q/2, ... 1.
+template <int Q, int N>
+void PanelRange(const float* panels, const float* b, float* c, int64_t q,
+                int64_t q_end, int64_t m, int64_t k) {
+  for (; q + Q <= q_end; q += Q) PanelTile<Q, N>(panels, b, c, q, m, k);
+  if constexpr (Q > 1) PanelRange<Q / 2, N>(panels, b, c, q, q_end, m, k);
+}
+
+// At least 8 chains in flight: add latency 4 on 2 ports.
+template <int N>
+void PanelColumns(const float* panels, const float* b, float* c, int64_t q,
+                  int64_t q_end, int64_t m, int64_t k) {
+  PanelRange<(8 + N - 1) / N, N>(panels, b, c, q, q_end, m, k);
+}
+
 }  // namespace
 
 void ReluAvx2(const float* in, float* out, int64_t n) {
@@ -132,19 +204,19 @@ void HardSwishAvx2(const float* in, float* out, int64_t n) {
 void AddAvx2(const float* a, const float* b, float* out, int64_t n) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        out + i, _mm256_add_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
+    _mm256_storeu_ps(out + i,
+                     AddFirst(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
   }
-  for (; i < n; ++i) out[i] = a[i] + b[i];
+  for (; i < n; ++i) out[i] = AddFirst(a[i], b[i]);
 }
 
 void AddScalarAvx2(const float* in, float s, float* out, int64_t n) {
   const __m256 sv = _mm256_set1_ps(s);
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_loadu_ps(in + i), sv));
+    _mm256_storeu_ps(out + i, AddFirst(_mm256_loadu_ps(in + i), sv));
   }
-  for (; i < n; ++i) out[i] = in[i] + s;
+  for (; i < n; ++i) out[i] = AddFirst(in[i], s);
 }
 
 void ScaleAvx2(const float* in, float alpha, float beta, float* out,
@@ -210,6 +282,21 @@ void GemmBlockedAvx2Rows(const float* a, const float* b, float* c,
   for (; i0 < row1; ++i0) BlockedRowBlock<1>(a, b, c, i0, n, k, tail_mask);
 }
 
+void GemmBlockedAvx2Panels(const float* panels, const float* b, float* c,
+                           int64_t row0, int64_t row1, int64_t n, int64_t k) {
+  const int64_t q0 = row0 / kBlockedPanelRows;
+  const int64_t q1 = (row1 + kBlockedPanelRows - 1) / kBlockedPanelRows;
+  switch (n) {
+    case 1: PanelColumns<1>(panels, b, c, q0, q1, row1, k); return;
+    case 2: PanelColumns<2>(panels, b, c, q0, q1, row1, k); return;
+    case 3: PanelColumns<3>(panels, b, c, q0, q1, row1, k); return;
+    case 4: PanelColumns<4>(panels, b, c, q0, q1, row1, k); return;
+    case 5: PanelColumns<5>(panels, b, c, q0, q1, row1, k); return;
+    case 6: PanelColumns<6>(panels, b, c, q0, q1, row1, k); return;
+    case 7: PanelColumns<7>(panels, b, c, q0, q1, row1, k); return;
+  }
+}
+
 }  // namespace mvtee::runtime::internal
 
 #else  // !__AVX2__: stub so the TU links everywhere.
@@ -228,6 +315,8 @@ float MaxReduceAvx2(const float* x, int64_t) { return x[0]; }
 void MulScalarAvx2(float*, float, int64_t) {}
 void GemmBlockedAvx2Rows(const float*, const float*, float*, int64_t,
                          int64_t, int64_t, int64_t) {}
+void GemmBlockedAvx2Panels(const float*, const float*, float*, int64_t,
+                           int64_t, int64_t, int64_t) {}
 
 }  // namespace mvtee::runtime::internal
 

@@ -58,4 +58,17 @@ void MulScalarAvx2(float* data, float s, int64_t n);
 void GemmBlockedAvx2Rows(const float* a, const float* b, float* c,
                          int64_t row0, int64_t row1, int64_t n, int64_t k);
 
+// Rows of A per kBlocked weight panel: one AVX2 vector of output rows.
+constexpr int64_t kBlockedPanelRows = 8;
+
+// The same tier for a narrow C (1 <= n < 8: convs whose output map has
+// fewer than 8 pixels), with A read from 8-row panels (PackBlockedPanels
+// in gemm.h) instead of row-major: output rows go in lanes. Per k step,
+// one load of 8 packed weights per panel and one broadcast per column;
+// ceil(8/n) panels run at once, so at least 8 chains are in flight. C
+// rows [row0, row1), row0 a multiple of 8. Each element is the same
+// chain, bit for bit.
+void GemmBlockedAvx2Panels(const float* panels, const float* b, float* c,
+                           int64_t row0, int64_t row1, int64_t n, int64_t k);
+
 }  // namespace mvtee::runtime::internal

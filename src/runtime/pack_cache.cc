@@ -49,61 +49,65 @@ PackedWeightCache::~PackedWeightCache() {
   }
 }
 
-void PackedWeightCache::Bind(const graph::Graph& graph, GemmBackend backend) {
-  MVTEE_CHECK(!bound_);
-  if (!EnabledFromEnv()) return;
-  backend_ = backend;
+void PackedWeightCache::Bind(const graph::Graph& graph,
+                             const std::vector<tensor::Shape>& shapes,
+                             GemmBackend backend, ConvAlgo algo) {
+  MVTEE_CHECK(!bound_ && nodes_.empty());
+  MVTEE_CHECK(shapes.size() == static_cast<size_t>(graph.num_nodes()));
+  const bool pack = EnabledFromEnv();
   util::BufferPool& pool = util::BufferPool::Default();
+  nodes_.resize(shapes.size());
   for (const graph::Node& node : graph.nodes()) {
     if (node.weights.empty()) continue;
     const tensor::Tensor* w = graph.FindInitializer(node.weights[0]);
     if (w == nullptr) continue;
+    Entry& entry = nodes_[static_cast<size_t>(node.id)];
     if (node.op == graph::OpType::kGemm && w->shape().rank() == 2) {
       const int64_t out = w->shape().dim(0), in = w->shape().dim(1);
       if (out <= 0 || in <= 0) continue;
-      PackedGemmB packed =
-          PackGemmWeightTransposed(backend, w->data(), out, in, &pool);
-      packed_bytes_ += packed.bytes();
-      gemm_entries_.emplace(node.weights[0], std::move(packed));
-    } else if (node.op == graph::OpType::kConv2d &&
-               w->shape().rank() == 4) {
-      // The im2col lowering consumes conv weights as the GEMM A operand
-      // in initializer layout — per-group panels W_g[oc/groups, patch]
-      // are already contiguous, so there is nothing to relocate. The
-      // alias entry pins the validated geometry (and hit accounting)
-      // without duplicating bytes.
-      const int64_t groups = node.attrs.GetInt("groups", 1);
-      if (groups <= 0 || w->shape().dim(0) % groups != 0) continue;
-      conv_entries_.insert(node.weights[0]);
+      entry.packable = true;
+      if (!pack) continue;
+      entry.gemm = PackGemmWeightTransposed(backend, w->data(), out, in, &pool);
+      packed_bytes_ += entry.gemm.bytes();
+      ++entries_;
+    } else if (node.op == graph::OpType::kConv2d) {
+      const tensor::Shape& y = shapes[static_cast<size_t>(node.id)];
+      if (y.rank() != 4) continue;
+      const std::optional<ConvPackLayout> layout = ConvPackLayoutFor(
+          w->shape(), ConvParamsOf(node), algo, backend, y.dim(2) * y.dim(3));
+      if (!layout) continue;
+      entry.packable = true;
+      if (!pack) continue;
+      entry.conv = PackConvWeight(*w, *layout, &pool);
+      packed_bytes_ += entry.conv.bytes();
+      ++entries_;
     }
   }
   if (packed_bytes_ > 0) {
     PackBytes().Add(static_cast<int64_t>(packed_bytes_));
   }
-  bound_ = true;
+  bound_ = pack;
 }
 
-const PackedGemmB* PackedWeightCache::FindGemm(const std::string& name) const {
+template <typename T>
+const T* PackedWeightCache::Serve(graph::NodeId node,
+                                  T Entry::*operand) const {
+  const auto i = static_cast<size_t>(node);
+  if (i >= nodes_.size() || !nodes_[i].packable) return nullptr;
   if (!bound_ || !PackCacheEnabled()) {
     PackMisses().Add();
     return nullptr;
   }
-  auto it = gemm_entries_.find(name);
-  if (it == gemm_entries_.end()) {
-    PackMisses().Add();
-    return nullptr;
-  }
   PackHits().Add();
-  return &it->second;
+  return &(nodes_[i].*operand);
 }
 
-bool PackedWeightCache::TouchConv(const std::string& name) const {
-  if (!bound_ || !PackCacheEnabled() || conv_entries_.count(name) == 0) {
-    PackMisses().Add();
-    return false;
-  }
-  PackHits().Add();
-  return true;
+const PackedGemmB* PackedWeightCache::FindGemm(graph::NodeId node) const {
+  return Serve(node, &Entry::gemm);
+}
+
+const PackedConvWeight* PackedWeightCache::FindConv(graph::NodeId node) const {
+  return Serve(node, &Entry::conv);
 }
 
 ScopedDisablePackCache::ScopedDisablePackCache() {

@@ -5,8 +5,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -23,8 +26,11 @@
 #include "runtime/pack_cache.h"
 #include "util/cpu_features.h"
 #include "tee/enclave.h"
+#include "obs/metrics.h"
 #include "transport/channel.h"
+#include "transport/secure_channel.h"
 #include "variant/spec.h"
+#include "tricky_floats.h"
 
 namespace mvtee {
 namespace {
@@ -535,6 +541,150 @@ TEST(DecoderFuzz, AttestationReportRandomCorruption) {
   }
 }
 
+// ------------------------------------------------ secure-channel fuzz
+
+// MessageDecoderFuzz's seeded mutations of a frame of `size` bytes, as
+// edits applied to whichever frame of that size comes by: every strict
+// prefix, 256 single-bit flips, and each 4-byte window set to
+// 0xFFFFFFFF and to 0x80000000.
+std::vector<std::function<void(util::Bytes&)>> FrameMutations(size_t size,
+                                                              uint64_t seed) {
+  std::vector<std::function<void(util::Bytes&)>> out;
+  for (size_t cut = 0; cut < size; ++cut) {
+    out.push_back([cut](util::Bytes& f) { f.resize(cut); });
+  }
+  util::Rng rng(seed);
+  for (int i = 0; i < 256; ++i) {
+    const uint64_t bit = rng.UniformU64(size * 8);
+    out.push_back([bit](util::Bytes& f) {
+      f[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    });
+  }
+  for (size_t pos = 0; pos + 4 <= size; ++pos) {
+    for (uint32_t value : {0xFFFFFFFFu, 0x80000000u}) {
+      out.push_back([pos, value](util::Bytes& f) {
+        for (size_t i = 0; i < 4; ++i) {
+          f[pos + i] = static_cast<uint8_t>(value >> (24 - 8 * i));
+        }
+      });
+    }
+  }
+  return out;
+}
+
+class SecureChannelFuzz : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto monitor = cpu_.LaunchEnclave(tee::TeeType::kSgx1,
+                                      util::ToBytes("monitor-code"),
+                                      tee::MonitorManifest(), 64);
+    auto variant = cpu_.LaunchEnclave(tee::TeeType::kSgx2,
+                                      util::ToBytes("variant-code"),
+                                      tee::InitVariantManifest(), 1024);
+    ASSERT_TRUE(monitor.ok() && variant.ok());
+    monitor_ = std::move(*monitor);
+    variant_ = std::move(*variant);
+  }
+
+  // Attested handshake on two threads; the client's outgoing frames
+  // pass through `client_interceptor`. Returns {client, server}.
+  std::pair<util::Result<std::unique_ptr<transport::SecureChannel>>,
+            util::Result<std::unique_ptr<transport::SecureChannel>>>
+  Handshake(transport::Interceptor client_interceptor) {
+    auto [a, b] = transport::CreateChannel();
+    a.SetInterceptor(std::move(client_interceptor));
+    util::Result<std::unique_ptr<transport::SecureChannel>> client(
+        util::Internal("unset"));
+    std::thread client_thread([&, ep = std::move(a)]() mutable {
+      client = transport::SecureChannel::Handshake(
+          std::move(ep), transport::SecureChannel::Role::kClient, *monitor_,
+          transport::AnyAttestedPeer(cpu_), 1'000'000);
+    });
+    auto server = transport::SecureChannel::Handshake(
+        std::move(b), transport::SecureChannel::Role::kServer, *variant_,
+        transport::AnyAttestedPeer(cpu_), 1'000'000);
+    client_thread.join();
+    return {std::move(client), std::move(server)};
+  }
+
+  tee::SimulatedCpu cpu_{tee::SimulatedCpu::Options{.hardware_key_seed = 7}};
+  std::unique_ptr<tee::Enclave> monitor_;
+  std::unique_ptr<tee::Enclave> variant_;
+};
+
+TEST_F(SecureChannelFuzz, MutatedHelloFailsTheHandshake) {
+  // The server parses the client's hello (HelloMessage::Deserialize),
+  // then the report inside it and the key binding. Each mutant of the
+  // live hello must fail the server's handshake. (The server sends its
+  // own hello before parsing the client's, so the client may finish.)
+  size_t hello_size = 0;
+  {
+    auto [client, server] = Handshake([&](const util::Bytes& frame) {
+      hello_size = frame.size();
+      return std::optional<util::Bytes>(frame);
+    });
+    ASSERT_TRUE(client.ok() && server.ok());
+  }
+  ASSERT_GT(hello_size, 40u);
+  int mutants = 0;
+  for (const auto& mutate : FrameMutations(hello_size, 0x4e110)) {
+    bool changed = false;
+    auto [client, server] = Handshake([&](const util::Bytes& frame) {
+      util::Bytes mutant = frame;
+      mutate(mutant);
+      changed = mutant != frame;
+      return std::optional<util::Bytes>(std::move(mutant));
+    });
+    if (!changed) continue;  // a window that already held its value
+    ++mutants;
+    EXPECT_FALSE(server.ok()) << "mutant " << mutants;
+  }
+  EXPECT_GT(mutants, 256);
+}
+
+TEST_F(SecureChannelFuzz, MutatedRecordIsRejectedAndCounted) {
+  // Each mutant of a genuine record (plaintext header included), injected
+  // by the host, must fail to open as an authentication failure or a
+  // replay, count exactly one channel.auth_failures, and deliver
+  // nothing: afterwards the genuine record still opens as the next one.
+  auto [client, server] = Handshake(nullptr);
+  ASSERT_TRUE(client.ok() && server.ok());
+  util::Bytes genuine;
+  (*client)->raw_endpoint().SetInterceptor([&](const util::Bytes& frame) {
+    genuine = frame;
+    return std::optional<util::Bytes>();  // held back by the host
+  });
+  const util::Bytes header(16, 0x5a);
+  const util::Bytes payload = util::ToBytes("a record's plaintext payload");
+  ASSERT_TRUE((*client)->Send(payload, header).ok());
+  ASSERT_FALSE(genuine.empty());
+
+  obs::Counter& auth_failures =
+      obs::Registry::Default().GetCounter("channel.auth_failures");
+  int mutants = 0;
+  for (const auto& mutate : FrameMutations(genuine.size(), 0x7ec0)) {
+    util::Bytes mutant = genuine;
+    mutate(mutant);
+    if (mutant == genuine) continue;
+    ++mutants;
+    const uint64_t before = auth_failures.value();
+    (*client)->raw_endpoint().InjectRaw(std::move(mutant));
+    const auto got = (*server)->RecvPooled(1'000'000);
+    ASSERT_FALSE(got.ok()) << "mutant " << mutants;
+    EXPECT_TRUE(got.status().code() == util::StatusCode::kAuthenticationFailure ||
+                got.status().code() == util::StatusCode::kReplayDetected)
+        << "mutant " << mutants << ": " << got.status().ToString();
+    EXPECT_EQ(auth_failures.value() - before, 1u) << "mutant " << mutants;
+  }
+  EXPECT_GT(mutants, 256);
+  (*client)->raw_endpoint().InjectRaw(genuine);
+  util::Bytes got_header;
+  const auto got = (*server)->Recv(1'000'000, &got_header);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, payload);
+  EXPECT_EQ(got_header, header);
+}
+
 // --------------------------------------------------- consistency property
 
 TEST(ConsistencyProperty, MetricsAgreeOnIdenticalAndDisjoint) {
@@ -900,6 +1050,147 @@ TEST(DepthwiseProperty, EqualsPerChannelComposition) {
     }
   }
   EXPECT_GT(trials, 100);
+}
+
+// ------------------------------------------------- narrow-map convs
+
+// One conv over input [2, C, H, W] as a one-node graph, every weight and
+// bias value drawn from `values` when it is non-empty.
+Graph NarrowConvGraph(int64_t C, int64_t H, int64_t W, int64_t OC,
+                      int64_t kernel, int64_t stride, int64_t groups,
+                      const std::vector<float>& values, util::Rng& rng) {
+  graph::ModelBuilder b(static_cast<uint64_t>(C * 131 + OC * 7 + kernel));
+  graph::NodeId x = b.Input("x", Shape({2, C, H, W}));
+  x = b.Conv(x, OC, kernel, stride, kernel / 2, groups, /*bias=*/true);
+  b.MarkOutput(x);
+  Graph g = b.Build();
+  if (!values.empty()) {
+    for (const std::string& name : g.node(x).weights) {
+      Tensor* t = g.MutableInitializer(name);
+      for (int64_t i = 0; i < t->num_elements(); ++i) {
+        t->data()[i] = values[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(values.size()) - 1))];
+      }
+    }
+  }
+  return g;
+}
+
+// Runs `g` with the pack cache serving, with it disabled, and with SIMD
+// dispatch forced scalar, on every backend with a narrow-map path; the
+// three runs must agree bit for bit, NaN payloads included.
+void ExpectNarrowTwinsIdentical(const Graph& g, const Tensor& input,
+                                const std::string& where) {
+  for (runtime::ExecutorConfig config :
+       {runtime::OrtLikeExecutorConfig(), runtime::TvmLikeExecutorConfig(),
+        runtime::HardenedExecutorConfig()}) {
+    config.slowdown_factor = 1.0;
+    auto exec = runtime::Executor::Create(g, config);
+    ASSERT_TRUE(exec.ok()) << where;
+    auto run = [&] {
+      auto out = (*exec)->Run({input});
+      EXPECT_TRUE(out.ok()) << where;
+      return out.ok() ? (*out)[0] : Tensor();
+    };
+    const Tensor served = run();
+    Tensor uncached, scalar;
+    {
+      runtime::ScopedDisablePackCache cache_off;
+      uncached = run();
+    }
+    {
+      util::ScopedForceScalar force_scalar;
+      scalar = run();
+    }
+    ASSERT_EQ(served.shape(), uncached.shape()) << where;
+    ASSERT_EQ(served.shape(), scalar.shape()) << where;
+    EXPECT_EQ(std::memcmp(served.data(), uncached.data(), served.byte_size()),
+              0)
+        << config.name << " " << where << " cache off";
+    EXPECT_EQ(std::memcmp(served.data(), scalar.data(), served.byte_size()), 0)
+        << config.name << " " << where << " forced scalar";
+  }
+}
+
+TEST(NarrowConvSweep, CachedUncachedAndScalarRunsAreBitwiseIdentical) {
+  // Dense convs on maps of fewer than 8 pixels: kBlocked reads its
+  // weights from bind-time panels, kTransposed and kNaive run several
+  // outputs at once. Maps 1x1, 1x2, 1x3, 2x2, 2x3 and 1x7; output
+  // channels around the 8-row panels; patch sizes of every k mod 4, with
+  // identity columns (1x1 s1) and im2col-built ones (3x3 p1, and 1x1 s2
+  // on a twice-as-wide map); all at batch 2, on uniform and on
+  // TrickyFloats() operands.
+  const std::vector<float> tricky = TrickyFloats();
+  util::Rng rng(0x6a77);
+  int cases = 0;
+  const int64_t maps[][2] = {{1, 1}, {1, 2}, {1, 3}, {2, 2}, {2, 3}, {1, 7}};
+  for (const auto& [H, W] : maps) {
+    for (int64_t OC : {1, 7, 8, 9, 17, 65, 320}) {
+      for (int64_t k_mod : {0, 1, 2, 3}) {
+        for (int cols = 0; cols < 3; ++cols) {
+          // Identity 1x1 (patch C), 3x3 p1 (patch 9C), 1x1 s2 (patch C).
+          const int64_t kernel = cols == 1 ? 3 : 1;
+          const int64_t stride = cols == 2 ? 2 : 1;
+          const int64_t C = kernel == 3 ? (k_mod == 0 ? 4 : k_mod) : 4 + k_mod;
+          for (bool special : {false, true}) {
+            const std::vector<float> values =
+                special ? tricky : std::vector<float>{};
+            const Graph g = NarrowConvGraph(C, H, W * stride, OC, kernel,
+                                            stride, 1, values, rng);
+            Tensor x = Tensor::RandomUniform(Shape({2, C, H, W * stride}),
+                                             rng);
+            if (special) {
+              for (int64_t i = 0; i < x.num_elements(); ++i) {
+                x.data()[i] = tricky[static_cast<size_t>(rng.UniformInt(
+                    0, static_cast<int64_t>(tricky.size()) - 1))];
+              }
+            }
+            ExpectNarrowTwinsIdentical(
+                g, x,
+                "map " + std::to_string(H) + "x" + std::to_string(W) +
+                    " oc " + std::to_string(OC) + " c " + std::to_string(C) +
+                    " k" + std::to_string(kernel) + "s" +
+                    std::to_string(stride) +
+                    (special ? " specials" : " uniform"));
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 6 * 7 * 4 * 3 * 2);
+}
+
+TEST(NarrowConvSweep, DepthwiseOnTinyMapsIsBitwiseIdentical) {
+  // The depthwise loop reads bind-time lane-interleaved weights on
+  // kBlocked and kTransposed: full and partial 4-channel blocks, 3x3 and
+  // 5x5 kernels, 1x1 and 2x2 maps, batch 2.
+  const std::vector<float> tricky = TrickyFloats();
+  util::Rng rng(0xd7);
+  for (int64_t hw : {1, 2}) {
+    for (int64_t C : {1, 4, 5, 9, 24}) {
+      for (int64_t kernel : {3, 5}) {
+        for (bool special : {false, true}) {
+          const std::vector<float> values =
+              special ? tricky : std::vector<float>{};
+          const Graph g =
+              NarrowConvGraph(C, hw, hw, C, kernel, 1, C, values, rng);
+          Tensor x = Tensor::RandomUniform(Shape({2, C, hw, hw}), rng);
+          if (special) {
+            for (int64_t i = 0; i < x.num_elements(); ++i) {
+              x.data()[i] = tricky[static_cast<size_t>(rng.UniformInt(
+                  0, static_cast<int64_t>(tricky.size()) - 1))];
+            }
+          }
+          ExpectNarrowTwinsIdentical(
+              g, x,
+              "depthwise " + std::to_string(hw) + "x" + std::to_string(hw) +
+                  " c " + std::to_string(C) + " k" + std::to_string(kernel) +
+                  (special ? " specials" : " uniform"));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include "graph/builder.h"
 #include "graph/model_zoo.h"
+#include "obs/metrics.h"
 #include "runtime/executor.h"
 #include "runtime/gemm.h"
 #include "runtime/kernels.h"
@@ -18,6 +19,7 @@
 #include "util/clock.h"
 #include "util/cpu_features.h"
 #include "util/rng.h"
+#include "tricky_floats.h"
 
 namespace mvtee::runtime {
 namespace {
@@ -83,23 +85,6 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, GemmBackendTest,
                            return std::string(GemmBackendName(info.param));
                          });
 
-std::vector<float> TrickyFloats() {
-  // Exercise every special the AVX2 tier must reproduce exactly:
-  // signed zeros, NaN, infinities, denormals and values around the
-  // relu6/hardswish breakpoints (-3, 0, 3, 6).
-  std::vector<float> v = {
-      0.0f, -0.0f, 1.0f, -1.0f, 6.0f, -6.0f, 5.9999995f, 6.0000005f,
-      3.0f, -3.0f, 2.9999998f, -2.9999998f, 1e-40f, -1e-40f,
-      std::numeric_limits<float>::infinity(),
-      -std::numeric_limits<float>::infinity(),
-      std::numeric_limits<float>::quiet_NaN(),
-      std::numeric_limits<float>::max(), std::numeric_limits<float>::lowest(),
-      std::numeric_limits<float>::denorm_min()};
-  util::Rng rng(51);
-  while (v.size() < 103) v.push_back(rng.UniformFloat(-10, 10));
-  return v;
-}
-
 TEST(GemmAvx2Test, DispatchPathsAreBitwiseIdentical) {
   // The whole point of the scalar fallbacks: MVTEE_SIMD=0 (or a host
   // without AVX2) must produce the exact same bits as the vector
@@ -154,6 +139,80 @@ TEST(GemmAvx2Test, DispatchPathsAreBitwiseIdentical) {
                 0)
           << GemmBackendName(backend) << " " << m << "x" << n << "x" << k
           << (specials ? " specials" : " finite");
+    }
+  }
+}
+
+// DESIGN.md section 10's accumulation order for one output C[i][j] of
+// `backend`, one term at a time in plain C++: what every loop nest,
+// vector tier and interleaving of chains must reproduce on finite data.
+float OracleOutput(GemmBackend backend, const float* a_row, const float* b,
+                   int64_t n, int64_t j, int64_t k) {
+  auto term = [&](int64_t p) { return a_row[p] * b[p * n + j]; };
+  int64_t p = 0;
+  float acc = 0.0f;
+  if (backend == GemmBackend::kTransposed) {
+    float s[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+    for (; p + 4 <= k; p += 4) {
+      for (int64_t l = 0; l < 4; ++l) s[l] = s[l] + term(p + l);
+    }
+    acc = (s[0] + s[1]) + (s[2] + s[3]);
+  }
+  for (; p < k; ++p) acc = acc + term(p);
+  return acc;
+}
+
+TEST(GemmOrderTest, EveryBackendMatchesItsScalarOracle) {
+  // m, n, k over {1, 7, 8, 9, 15, 33} reach every block edge: kNaive's
+  // 8, 4, 2 and 1 chains of rows or columns (15 = 8 + 4 + 2 + 1),
+  // kTransposed's 4, 2 and 1, and kBlocked's tiles, masked tails and
+  // 8-row weight panels (through GemmBlockedPacked), with SIMD dispatch
+  // on and forced off.
+  util::Rng rng(0x0dde);
+  const int64_t sizes[] = {1, 7, 8, 9, 15, 33};
+  for (int64_t m : sizes) {
+    for (int64_t n : sizes) {
+      for (int64_t k : sizes) {
+        std::vector<float> a(static_cast<size_t>(m * k)),
+            b(static_cast<size_t>(k * n));
+        for (auto& v : a) v = rng.UniformFloat(-1, 1);
+        for (auto& v : b) v = rng.UniformFloat(-1, 1);
+        const util::PooledBuffer panels =
+            PackBlockedPanels(a.data(), m, k, &util::BufferPool::Default());
+        for (bool force_scalar : {false, true}) {
+          std::unique_ptr<util::ScopedForceScalar> scalar;
+          if (force_scalar) scalar = std::make_unique<util::ScopedForceScalar>();
+          for (GemmBackend backend : {GemmBackend::kNaive, GemmBackend::kBlocked,
+                                      GemmBackend::kTransposed}) {
+            std::vector<float> oracle(static_cast<size_t>(m * n));
+            for (int64_t i = 0; i < m; ++i) {
+              for (int64_t j = 0; j < n; ++j) {
+                oracle[static_cast<size_t>(i * n + j)] =
+                    OracleOutput(backend, a.data() + i * k, b.data(), n, j, k);
+              }
+            }
+            std::vector<float> c(oracle.size(), -1.0f);
+            Gemm(backend, a.data(), b.data(), c.data(), m, n, k);
+            const std::string where =
+                std::string(GemmBackendName(backend)) + " " +
+                std::to_string(m) + "x" + std::to_string(n) + "x" +
+                std::to_string(k) + (force_scalar ? " scalar" : "");
+            EXPECT_EQ(std::memcmp(c.data(), oracle.data(),
+                                  c.size() * sizeof(float)),
+                      0)
+                << where;
+            if (backend != GemmBackend::kBlocked) continue;
+            std::fill(c.begin(), c.end(), -1.0f);
+            GemmBlockedPacked(a.data(),
+                              reinterpret_cast<const float*>(panels.data()),
+                              b.data(), c.data(), m, n, k);
+            EXPECT_EQ(std::memcmp(c.data(), oracle.data(),
+                                  c.size() * sizeof(float)),
+                      0)
+                << where << " packed";
+          }
+        }
+      }
     }
   }
 }
@@ -1036,63 +1095,166 @@ TEST(PackedGemmDeathTest, BackendMismatchAborts) {
 
 // ------------------------------------------------- pack cache
 
-std::string FirstWeightName(const Graph& g, graph::OpType op) {
+std::vector<NodeId> NodesOf(const Graph& g, graph::OpType op) {
+  std::vector<NodeId> ids;
   for (const auto& node : g.nodes()) {
-    if (node.op == op && !node.weights.empty()) return node.weights[0];
+    if (node.op == op) ids.push_back(node.id);
   }
-  return "";
+  return ids;
+}
+
+// Every conv shape the pack cache decides on: a dense 3x3 conv on a
+// 4x4 map (16 pixels), a strided dense conv down to 2x2, a depthwise
+// conv on 2x2, a 1x1 conv on 1x1, then an FC.
+Graph NarrowConvNet() {
+  ModelBuilder b(17);
+  NodeId x = b.Input("img", Shape({1, 6, 4, 4}));
+  x = b.Conv(x, 8, 3, 1, 1, 1, true);    // 4x4: reads W as is
+  x = b.Conv(x, 12, 3, 2, 1, 1, true);   // 2x2: kBlocked panels
+  x = b.Conv(x, 12, 3, 1, 1, 12, true);  // depthwise: lanes
+  x = b.GlobalAvgPool(x);
+  x = b.Conv(x, 20, 1, 1, 0, 1, true);   // 1x1: kBlocked panels
+  x = b.Gemm(b.Flatten(x), 5);
+  b.MarkOutput(x);
+  return b.Build();
+}
+
+// Bytes the cache holds for `w` packed as `layout`.
+size_t PackedBytes(const Tensor& w, ConvPackLayout layout) {
+  const int64_t rows = w.shape().dim(0);
+  const int64_t patch = w.num_elements() / rows;
+  const int64_t block = layout == ConvPackLayout::kBlockedPanels ? 8 : 4;
+  return static_cast<size_t>((rows + block - 1) / block * block * patch) *
+         sizeof(float);
 }
 
 TEST(PackCacheTest, BindPacksConstantGemmWeights) {
-  Graph g = SmallConvNet();
-  PackedWeightCache cache;
-  cache.Bind(g, GemmBackend::kAvx2);
-  if (!PackedWeightCache::EnabledFromEnv()) {
-    // MVTEE_PACK_CACHE=0 CI leg: bind must be a no-op and every lookup
-    // a (counted) miss.
-    EXPECT_FALSE(cache.bound());
-    EXPECT_EQ(cache.entries(), 0u);
-    EXPECT_EQ(cache.FindGemm(FirstWeightName(g, graph::OpType::kGemm)),
-              nullptr);
-    return;
+  // Every FC weight is packed on every backend. Conv weights are packed
+  // only where a narrow-map path reads them packed: kBlocked's panels
+  // for groups == 1 convs with fewer than 8 output pixels, and the
+  // depthwise loop's lanes on kBlocked and kTransposed.
+  const Graph g = NarrowConvNet();
+  const std::vector<Shape> shapes = *g.InferShapes();
+  const std::vector<NodeId> convs = NodesOf(g, graph::OpType::kConv2d);
+  ASSERT_EQ(convs.size(), 4u);
+  const NodeId fc = NodesOf(g, graph::OpType::kGemm).at(0);
+  auto weight = [&](NodeId id) {
+    return g.FindInitializer(g.node(id).weights[0]);
+  };
+  const std::optional<ConvPackLayout> none;
+  const struct {
+    GemmBackend backend;
+    std::optional<ConvPackLayout> layouts[4];
+  } cases[] = {
+      {GemmBackend::kBlocked,
+       {none, ConvPackLayout::kBlockedPanels, ConvPackLayout::kDepthwiseLanes,
+        ConvPackLayout::kBlockedPanels}},
+      {GemmBackend::kTransposed,
+       {none, none, ConvPackLayout::kDepthwiseLanes, none}},
+      {GemmBackend::kNaive, {none, none, none, none}},
+      {GemmBackend::kAvx2, {none, none, none, none}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(GemmBackendName(c.backend));
+    PackedWeightCache cache;
+    cache.Bind(g, shapes, c.backend, ConvAlgo::kIm2col);
+    if (!PackedWeightCache::EnabledFromEnv()) {
+      // MVTEE_PACK_CACHE=0 CI leg: nothing is packed and every lookup
+      // of a packable node is a (counted) miss.
+      EXPECT_FALSE(cache.bound());
+      EXPECT_EQ(cache.entries(), 0u);
+      EXPECT_EQ(cache.packed_bytes(), 0u);
+      EXPECT_EQ(cache.FindGemm(fc), nullptr);
+      for (NodeId id : convs) EXPECT_EQ(cache.FindConv(id), nullptr);
+      continue;
+    }
+    ASSERT_TRUE(cache.bound());
+    const PackedGemmB* packed_fc = cache.FindGemm(fc);
+    ASSERT_NE(packed_fc, nullptr);
+    EXPECT_EQ(packed_fc->backend, c.backend);
+    EXPECT_EQ(packed_fc->n, weight(fc)->shape().dim(0));
+    EXPECT_EQ(packed_fc->k, weight(fc)->shape().dim(1));
+    size_t entries = 1, bytes = packed_fc->bytes();
+    for (size_t i = 0; i < convs.size(); ++i) {
+      const PackedConvWeight* packed = cache.FindConv(convs[i]);
+      ASSERT_EQ(packed != nullptr, c.layouts[i].has_value()) << "conv " << i;
+      if (packed == nullptr) continue;
+      EXPECT_EQ(packed->layout, *c.layouts[i]) << "conv " << i;
+      EXPECT_EQ(packed->weight_shape, weight(convs[i])->shape());
+      EXPECT_EQ(packed->bytes(), PackedBytes(*weight(convs[i]), packed->layout));
+      ++entries;
+      bytes += packed->bytes();
+    }
+    EXPECT_EQ(cache.entries(), entries);
+    EXPECT_EQ(cache.packed_bytes(), bytes);
   }
-  ASSERT_TRUE(cache.bound());
-  EXPECT_GT(cache.entries(), 0u);
-  EXPECT_GT(cache.packed_bytes(), 0u);
-
-  const std::string gemm_w = FirstWeightName(g, graph::OpType::kGemm);
-  ASSERT_FALSE(gemm_w.empty());
-  const PackedGemmB* packed = cache.FindGemm(gemm_w);
-  ASSERT_NE(packed, nullptr);
-  EXPECT_EQ(packed->backend, GemmBackend::kAvx2);
-  const Tensor* w = g.FindInitializer(gemm_w);
-  ASSERT_NE(w, nullptr);
-  EXPECT_EQ(packed->n, w->shape().dim(0));
-  EXPECT_EQ(packed->k, w->shape().dim(1));
-
-  const std::string conv_w = FirstWeightName(g, graph::OpType::kConv2d);
-  ASSERT_FALSE(conv_w.empty());
-  EXPECT_TRUE(cache.TouchConv(conv_w));
-  EXPECT_FALSE(cache.TouchConv("no-such-weight"));
-  EXPECT_EQ(cache.FindGemm("no-such-weight"), nullptr);
+  // The direct conv algorithm reads no packed conv weight.
+  PackedWeightCache direct;
+  direct.Bind(g, shapes, GemmBackend::kBlocked, ConvAlgo::kDirect);
+  for (NodeId id : convs) EXPECT_EQ(direct.FindConv(id), nullptr);
 }
 
 TEST(PackCacheTest, ScopedDisableForcesColdLookups) {
   if (!PackedWeightCache::EnabledFromEnv()) {
     GTEST_SKIP() << "MVTEE_PACK_CACHE=0: nothing to scope-disable";
   }
-  Graph g = SmallConvNet();
+  const Graph g = NarrowConvNet();
   PackedWeightCache cache;
-  cache.Bind(g, GemmBackend::kBlocked);
-  const std::string gemm_w = FirstWeightName(g, graph::OpType::kGemm);
-  ASSERT_NE(cache.FindGemm(gemm_w), nullptr);
+  cache.Bind(g, *g.InferShapes(), GemmBackend::kBlocked, ConvAlgo::kIm2col);
+  const NodeId fc = NodesOf(g, graph::OpType::kGemm).at(0);
+  const NodeId panel_conv = NodesOf(g, graph::OpType::kConv2d).at(1);
+  ASSERT_NE(cache.FindGemm(fc), nullptr);
+  ASSERT_NE(cache.FindConv(panel_conv), nullptr);
   {
     ScopedDisablePackCache off;
     EXPECT_FALSE(PackCacheEnabled());
-    EXPECT_EQ(cache.FindGemm(gemm_w), nullptr);
-    EXPECT_FALSE(cache.TouchConv(FirstWeightName(g, graph::OpType::kConv2d)));
+    EXPECT_EQ(cache.FindGemm(fc), nullptr);
+    EXPECT_EQ(cache.FindConv(panel_conv), nullptr);
   }
-  EXPECT_NE(cache.FindGemm(gemm_w), nullptr);
+  EXPECT_NE(cache.FindGemm(fc), nullptr);
+  EXPECT_NE(cache.FindConv(panel_conv), nullptr);
+}
+
+TEST(PackCacheTest, EachRunCountsOneLookupPerPackedOperand) {
+  // pack.bytes grows by exactly what each executor binds, and every Run
+  // looks up each packable node once: a hit when the cache serves it, a
+  // miss when it is disabled; other nodes are not counted.
+  const Graph g = NarrowConvNet();
+  util::Rng rng(43);
+  const Tensor input = Tensor::RandomUniform(Shape({1, 6, 4, 4}), rng);
+  auto& reg = obs::Registry::Default();
+  const struct {
+    ExecutorConfig config;
+    uint64_t packable;  // NarrowConvNet nodes with a packed operand
+  } cases[] = {{OrtLikeExecutorConfig(), 4},
+               {TvmLikeExecutorConfig(), 2},
+               {HardenedExecutorConfig(), 1},
+               {MklLikeExecutorConfig(), 1},
+               {ReferenceExecutorConfig(), 1}};
+  for (auto c : cases) {
+    SCOPED_TRACE(c.config.name);
+    c.config.slowdown_factor = 1.0;
+    const int64_t bytes0 = reg.GetGauge("pack.bytes").value();
+    auto exec = Executor::Create(g, c.config);
+    ASSERT_TRUE(exec.ok());
+    const PackedWeightCache& cache = (*exec)->pack_cache();
+    EXPECT_EQ(reg.GetGauge("pack.bytes").value() - bytes0,
+              static_cast<int64_t>(cache.packed_bytes()));
+    const bool serving = PackedWeightCache::EnabledFromEnv();
+    EXPECT_EQ(cache.entries(), serving ? c.packable : 0u);
+    for (bool disabled : {false, true}) {
+      std::unique_ptr<ScopedDisablePackCache> off;
+      if (disabled) off = std::make_unique<ScopedDisablePackCache>();
+      const uint64_t hits0 = reg.GetCounter("pack.hits").value();
+      const uint64_t misses0 = reg.GetCounter("pack.misses").value();
+      for (int run = 0; run < 3; ++run) ASSERT_TRUE((*exec)->Run({input}).ok());
+      const bool hit = serving && !disabled;
+      EXPECT_EQ(reg.GetCounter("pack.hits").value() - hits0,
+                hit ? 3 * c.packable : 0u);
+      EXPECT_EQ(reg.GetCounter("pack.misses").value() - misses0,
+                hit ? 0u : 3 * c.packable);
+    }
+  }
 }
 
 TEST(PackCacheTest, ExecutorOutputsBitwiseIdenticalWithCacheDisabled) {
@@ -1180,6 +1342,27 @@ TEST(ElementwiseDispatchTest, VectorAndScalarTiersAreBitwiseIdentical) {
   for (size_t i = 0; i < fast.size(); ++i) {
     EXPECT_EQ(std::memcmp(fast[i].data(), scalar[i].data(), bytes), 0)
         << names[i];
+  }
+}
+
+TEST(ElementwiseDispatchTest, AddsReturnTheFirstOperandsNaN) {
+  // Both operands NaN with different payloads: x86 returns the first
+  // source's, and both tiers pin `a` (Add) and `in` (AddScalar) first,
+  // in the vector body and in the scalar tail alike.
+  const float pos = std::numeric_limits<float>::quiet_NaN();
+  const float neg = -pos;
+  const int64_t n = 19;
+  const std::vector<float> pos_v(n, pos), neg_v(n, neg);
+  for (bool force_scalar : {false, true}) {
+    std::unique_ptr<util::ScopedForceScalar> scalar;
+    if (force_scalar) scalar = std::make_unique<util::ScopedForceScalar>();
+    std::vector<float> out(n);
+    elementwise::Add(pos_v.data(), neg_v.data(), out.data(), n);
+    EXPECT_EQ(std::memcmp(out.data(), pos_v.data(), n * sizeof(float)), 0);
+    elementwise::Add(neg_v.data(), pos_v.data(), out.data(), n);
+    EXPECT_EQ(std::memcmp(out.data(), neg_v.data(), n * sizeof(float)), 0);
+    elementwise::AddScalar(pos_v.data(), neg, out.data(), n);
+    EXPECT_EQ(std::memcmp(out.data(), pos_v.data(), n * sizeof(float)), 0);
   }
 }
 
