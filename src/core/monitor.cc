@@ -7,7 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/verify_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/timeline.h"
 #include "util/clock.h"
@@ -329,15 +328,10 @@ void Monitor::BindMetrics() {
   m_.rebootstrap_us = &metrics_->GetHistogram("supervisor.rebootstrap_us");
   m_.wait_us = &metrics_->GetHistogram("monitor.wait_us");
   m_.verify_job_us = &metrics_->GetHistogram("monitor.verify_job_us");
-  m_.verify_queue_depth = &metrics_->GetGauge("monitor.verify_queue_depth");
   m_.prefilter_hits = &metrics_->GetCounter("monitor.prefilter_hits");
   m_.full_checks = &metrics_->GetCounter("monitor.full_checks");
   m_.divergences_total = &metrics_->GetCounter("monitor.divergences_total");
-  m_.verify_queue_depth_hwm =
-      &metrics_->GetGauge("monitor.verify_queue_depth_hwm");
   m_.loop_heartbeat = &metrics_->GetCounter("monitor.loop_heartbeat");
-  m_.verify_workers_started =
-      &metrics_->GetCounter("monitor.verify_workers_started");
   for (size_t s = 0; s < stages_.size(); ++s) {
     const std::string stage = "stage" + std::to_string(s) + ".";
     StageMetrics& sm = stages_[s].metrics;
@@ -1050,9 +1044,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
 
   struct BatchState {
     // Per stage: result per variant (reporting stages only). Slots are
-    // written at most once (duplicate frames are dropped), so a settled
-    // slot can be read from a verify worker without racing the
-    // ingestion thread writing other slots.
+    // written at most once (duplicate frames are dropped).
     std::map<size_t, std::vector<std::optional<InferResultMsg>>> reports;
     // Per stage: digest summary per panel slot (prefilter, computed
     // once on ingestion).
@@ -1062,8 +1054,6 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     std::map<size_t, OutputsSummary> chosen_summary;
     std::map<size_t, int64_t> v_chosen;  // virtual decision time per stage
     std::set<size_t> voted;  // stages whose verdict is final
-    std::set<size_t> verify_inflight;  // stages with a pool job running
-    std::set<size_t> verify_dirty;     // reports arrived while in flight
     bool complete = false;
     int64_t admit_vus = 0;  // virtual admission time
     // Panel membership, frozen per batch at admission: 0 = excluded
@@ -1081,9 +1071,6 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     // sent, no report yet). The batch is kept until `owed` is 0.
     std::vector<std::vector<char>> owes;
     size_t owed = 0;
-    // Verify-pool jobs holding pointers into this state (worker side or
-    // queued applier). GC of a completed batch waits for zero.
-    size_t jobs_inflight = 0;
     // The batch's distributed trace (DESIGN.md §8): the monitor's
     // admit/forward/verify spans and — via the authenticated channel
     // headers — every variant-side span share it.
@@ -1092,8 +1079,9 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     // phase of the latency breakdown).
     int64_t verify_us = 0;
   };
-  // Stream index -> state. Map nodes are pointer-stable (workers hold
-  // BatchState*), and any finished batch can be reclaimed on its own.
+  // Stream index -> state. Map nodes are pointer-stable, so a handler
+  // keeps its BatchState& across nested ones, and any finished batch
+  // can be reclaimed on its own.
   std::map<size_t, BatchState> bs;
   auto bat = [&](size_t b) -> BatchState& { return bs.at(b); };
   // The newest admission: attributes events that belong to no batch.
@@ -1102,20 +1090,6 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     const auto it = bs.find(b);
     return it != bs.end() ? it->second.trace_id : last_trace_id;
   };
-  // Cross-validation worker pool (declared after `bs`: destroyed first,
-  // so in-flight jobs never outlive the state they read). Completed
-  // jobs notify the wait set so the loop below wakes up. Only MVX
-  // panels (stages with more than one variant) submit jobs, so without
-  // one the pool starts no workers: a serving stream ends whenever the
-  // queue drains, and would otherwise spawn and join idle workers per
-  // request.
-  const bool has_panel =
-      std::any_of(stages_.begin(), stages_.end(), [](const StageState& st) {
-        return st.variants.size() > 1;
-      });
-  VerifyPool pool(has_panel ? config_.verify_threads : 0, wait_set_);
-  m_.verify_workers_started->Add(static_cast<uint64_t>(pool.threads()));
-
   // Flight recorder (DESIGN.md §8): every committed verdict is noted
   // into the bounded ring; on divergence / auth failure / abort the
   // retained ring plus the affected batch's trace slice is dumped as a
@@ -1472,9 +1446,8 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     }
   };
 
-  // Aggregate prefilter/verify-cost bookkeeping (applied on the
-  // monitor thread by job appliers). The verification CPU is
-  // attributed to its batch for the per-request latency breakdown.
+  // Aggregate prefilter/verify-cost bookkeeping. The verification CPU
+  // is attributed to its batch for the per-request latency breakdown.
   auto note_verify_job = [&](BatchState& state, int64_t verify_cpu,
                              const CheckStats& cstats) {
     m_.verify_job_us->Observe(verify_cpu);
@@ -1485,7 +1458,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
 
   // The decision verdict is its own virtual-time event, parallel to
   // ingestion: it lands at the latest virtual arrival of the reports it
-  // used plus the verification CPU measured on the worker.
+  // used plus the verification CPU it took.
   auto begin_decision_event = [&](BatchState& state, size_t s,
                                   int64_t verify_cpu) {
     int64_t v_decide = 0;
@@ -1562,14 +1535,10 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     }
   };
 
-  // Finalizes an MVX stage verdict from a full panel. The O(k²) Vote
-  // runs on the verify pool; the applier (monitor thread) commits the
-  // verdict. Settled panel slots are captured by pointer — they are
-  // final once written (duplicate frames are dropped on ingestion), so
-  // workers never race the ingestion thread writing other slots.
-  auto schedule_full_vote = [&](size_t s, size_t b) {
+  // Finalizes an MVX stage verdict from a full panel: the O(k²) Vote
+  // runs on the monitor thread and its verdict commits at once.
+  auto full_vote = [&](size_t s, size_t b) {
     BatchState& state = bat(b);
-    BatchState* st = &state;
     const size_t k = stages_[s].variants.size();
     // Participating slots (batch mask == 1). Under supervision, failed
     // and missing members are excluded from the vote list and recorded
@@ -1577,7 +1546,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     // panel, so a degraded stage still reaches quorum (dMVX-style).
     std::vector<size_t> vmap;       // vote-list position -> panel index
     std::vector<int> auto_dissent;  // participating, excluded from list
-    std::vector<const InferResultMsg*> settled;
+    std::vector<std::vector<Tensor>> list;
     std::vector<OutputsSummary> sums;
     for (size_t i = 0; i < k; ++i) {
       if (state.masks[s][i] != 1) continue;
@@ -1587,9 +1556,9 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
         continue;
       }
       vmap.push_back(i);
-      settled.push_back(r.has_value() ? &*r : nullptr);
-      sums.push_back(i < state.summaries[s].size() ? state.summaries[s][i]
-                                                   : OutputsSummary{});
+      list.push_back(r.has_value() && r->ok ? r->outputs
+                                            : std::vector<Tensor>{});
+      sums.push_back(state.summaries[s][i]);
     }
     VotePolicy vote_policy = config_.vote;
     if (supervised && config_.reaction.degrade_to_majority) {
@@ -1597,266 +1566,154 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
       // from the winning bloc); dissent still drives quarantine.
       vote_policy = VotePolicy::kMajority;
     }
-    const bool prefilter = config_.digest_prefilter;
-    const CheckPolicy check = config_.check;
-    obs::Histogram* verify_hist = stages_[s].metrics.verify_us;
-    ++state.jobs_inflight;  // released by the applier (monitor thread)
-    pool.Submit([this, s, b, k, st, base, tid = state.trace_id,
-                 vmap = std::move(vmap),
-                 auto_dissent = std::move(auto_dissent),
-                 settled = std::move(settled),
-                 sums = std::move(sums), prefilter, check, vote_policy,
-                 verify_hist, &run_error, &on_chosen,
-                 &note_verify_job, &note_checkpoint, &dump_evidence,
-                 &begin_decision_event,
-                 &lifecycle_dissent]() -> VerifyPool::Apply {
-      const size_t kv = settled.size();
-      std::vector<std::vector<Tensor>> list(kv);
-      for (size_t i = 0; i < kv; ++i) {
-        if (settled[i] != nullptr && settled[i]->ok) {
-          list[i] = settled[i]->outputs;
-        }
+    const int64_t cpu0 = util::ThreadCpuMicros();
+    VoteResult vote;
+    CheckStats cstats;
+    {
+      obs::TraceContextScope troot(state.trace_id, 0);
+      obs::ScopedSpan span("monitor/verify",
+                           {.stage = static_cast<int32_t>(s),
+                            .batch = static_cast<int64_t>(base + b),
+                            .tag = "vote"},
+                           &obs::TraceBuffer::Default(),
+                           stages_[s].metrics.verify_us);
+      vote = config_.digest_prefilter
+                 ? Vote(list, sums, config_.check, vote_policy, &cstats)
+                 : Vote(list, config_.check, vote_policy);
+    }
+    const int64_t verify_cpu = util::ThreadCpuMicros() - cpu0;
+    state.voted.insert(s);
+    note_verify_job(state, verify_cpu, cstats);
+    begin_decision_event(state, s, verify_cpu);
+    m_.checkpoints_evaluated->Add(1);
+    // Dissenters in panel coordinates: the vote's dissenters mapped back
+    // through vmap plus the auto-excluded failures.
+    std::vector<int> dissent_idx = auto_dissent;
+    for (int d : vote.dissenters) {
+      dissent_idx.push_back(static_cast<int>(vmap[static_cast<size_t>(d)]));
+    }
+    std::sort(dissent_idx.begin(), dissent_idx.end());
+    m_.divergences->Add(dissent_idx.size());
+    m_.divergences_total->Add(dissent_idx.size());
+    note_checkpoint(s, b, dissent_idx.empty() ? "accepted" : "divergence",
+                    state.v_chosen[s], dissent_idx);
+    if (!vote.accepted || vote.winner < 0 ||
+        (config_.reaction.kind == ReactionKind::kAbort &&
+         !dissent_idx.empty())) {
+      if (run_error.ok()) {
+        run_error = util::DivergenceDetected(
+            "stage " + std::to_string(s) + " batch " + std::to_string(b) +
+            ": " + std::to_string(dissent_idx.size()) + "/" +
+            std::to_string(k) + " variants dissent");
       }
-      const int64_t cpu0 = util::ThreadCpuMicros();
-      VoteResult vote;
-      CheckStats cstats;
-      {
-        // Worker thread: adopt the batch's trace so the verify span
-        // lands on the same timeline as admit/forward.
-        obs::TraceContextScope tscope(tid, 0);
-        obs::ScopedSpan span("monitor/verify",
-                             {.stage = static_cast<int32_t>(s),
-                              .batch = static_cast<int64_t>(base + b),
-                              .tag = "vote"},
-                             &obs::TraceBuffer::Default(), verify_hist);
-        vote = prefilter ? Vote(list, sums, check, vote_policy, &cstats)
-                         : Vote(list, check, vote_policy);
-      }
-      const int64_t verify_cpu = util::ThreadCpuMicros() - cpu0;
-      return [this, s, b, k, st, vote, cstats, verify_cpu,
-              vmap = std::move(vmap),
-              auto_dissent = std::move(auto_dissent),
-              list = std::move(list), sums = std::move(sums), &run_error,
-              &on_chosen, &note_verify_job, &note_checkpoint,
-              &dump_evidence, &begin_decision_event,
-              &lifecycle_dissent]() mutable {
-        --st->jobs_inflight;
-        if (st->voted.count(s)) return;  // quorum decided meanwhile
-        st->voted.insert(s);
-        note_verify_job(*st, verify_cpu, cstats);
-        begin_decision_event(*st, s, verify_cpu);
-        m_.checkpoints_evaluated->Add(1);
-        // Dissenters in panel coordinates: the vote's dissenters mapped
-        // back through vmap plus the auto-excluded failures.
-        std::vector<int> dissent_idx = auto_dissent;
-        for (int d : vote.dissenters) {
-          dissent_idx.push_back(
-              static_cast<int>(vmap[static_cast<size_t>(d)]));
-        }
-        std::sort(dissent_idx.begin(), dissent_idx.end());
-        m_.divergences->Add(dissent_idx.size());
-        m_.divergences_total->Add(dissent_idx.size());
-        note_checkpoint(s, b,
-                        dissent_idx.empty() ? "accepted" : "divergence",
-                        st->v_chosen[s], dissent_idx);
-        if (!vote.accepted || vote.winner < 0 ||
-            (config_.reaction.kind == ReactionKind::kAbort &&
-             !dissent_idx.empty())) {
-          if (run_error.ok()) {
-            run_error = util::DivergenceDetected(
-                "stage " + std::to_string(s) + " batch " +
-                std::to_string(b) + ": " +
-                std::to_string(dissent_idx.size()) + "/" +
-                std::to_string(k) + " variants dissent");
-          }
-          dump_evidence("vote-divergence", st->trace_id, run_error.message());
-          return;
-        }
-        st->chosen[s] = std::move(list[static_cast<size_t>(vote.winner)]);
-        st->chosen_summary[s] = sums[static_cast<size_t>(vote.winner)];
-        for (int d : dissent_idx) {
-          lifecycle_dissent(s, static_cast<size_t>(d), b);
-        }
-        on_chosen(s, b);
-      };
-    });
+      dump_evidence("vote-divergence", state.trace_id, run_error.message());
+      return;
+    }
+    state.chosen[s] = std::move(list[static_cast<size_t>(vote.winner)]);
+    state.chosen_summary[s] = sums[static_cast<size_t>(vote.winner)];
+    for (int d : dissent_idx) {
+      lifecycle_dissent(s, static_cast<size_t>(d), b);
+    }
+    on_chosen(s, b);
   };
 
   // Async quorum attempt over the reports received so far (Fig. 8): the
-  // largest-consistent-bloc scan runs on the pool; the applier decides,
-  // reschedules when new reports arrived mid-flight, or falls back to a
-  // full vote once the whole panel answered. std::function so the
-  // applier can reschedule recursively.
-  std::function<void(size_t, size_t)> schedule_quorum =
-      [&](size_t s, size_t b) {
+  // largest consistent bloc decides once it holds a majority of the
+  // batch-frozen panel, not of the configured k, so a degraded panel
+  // keeps making progress. Without one, the full vote decides once the
+  // whole panel answered.
+  auto try_quorum = [&](size_t s, size_t b) {
     BatchState& state = bat(b);
-    BatchState* st = &state;
     const size_t k = stages_[s].variants.size();
-    state.verify_inflight.insert(s);
-    state.verify_dirty.erase(s);
-    // Snapshot of settled slots: healthy outputs go to the worker;
-    // in-snapshot flags let the applier treat later arrivals as
-    // stragglers.
-    std::vector<const std::vector<Tensor>*> outs;
-    std::vector<OutputsSummary> sums;
-    std::vector<char> in_snapshot(k, 0);
-    size_t settled_count = 0;
-    size_t voting_count = 0;  // batch-frozen panel size (mask == 1)
+    const auto& panel = state.reports[s];
+    const auto& sums = state.summaries[s];
+    std::vector<size_t> healthy;  // panel indices of settled ok reports
+    size_t settled = 0;
+    size_t voting = 0;
     for (size_t i = 0; i < k; ++i) {
       if (state.masks[s][i] != 1) continue;
-      ++voting_count;
-      const auto& r = state.reports[s][i];
-      if (!r.has_value()) continue;
-      in_snapshot[i] = 1;
-      ++settled_count;
-      if (!r->ok) continue;
-      outs.push_back(&r->outputs);
-      sums.push_back(i < state.summaries[s].size() ? state.summaries[s][i]
-                                                   : OutputsSummary{});
+      ++voting;
+      if (!panel[i].has_value()) continue;
+      ++settled;
+      if (panel[i]->ok) healthy.push_back(i);
     }
-    const bool prefilter = config_.digest_prefilter;
-    const CheckPolicy check = config_.check;
-    obs::Histogram* verify_hist = stages_[s].metrics.verify_us;
-    ++state.jobs_inflight;  // released by the applier (monitor thread)
-    pool.Submit([this, s, b, k, st, base, tid = state.trace_id,
-                 outs = std::move(outs),
-                 sums = std::move(sums), in_snapshot = std::move(in_snapshot),
-                 settled_count, voting_count, prefilter, check,
-                 verify_hist, &run_error, &on_chosen, &note_verify_job,
-                 &note_checkpoint, &dump_evidence,
-                 &begin_decision_event, &dissents_from_chosen,
-                 &schedule_quorum, &lifecycle_dissent,
-                 &schedule_full_vote]() -> VerifyPool::Apply {
-      const int64_t cpu0 = util::ThreadCpuMicros();
-      CheckStats cstats;
-      size_t best_pos = outs.size(), best_size = 0;
-      std::vector<char> best_bloc;
-      {
-        obs::TraceContextScope tscope(tid, 0);
-        obs::ScopedSpan span("monitor/verify",
-                             {.stage = static_cast<int32_t>(s),
-                              .batch = static_cast<int64_t>(base + b),
-                              .tag = "quorum"},
-                             &obs::TraceBuffer::Default(), verify_hist);
-        for (size_t rp = 0; rp < outs.size(); ++rp) {
-          size_t size = 0;
-          std::vector<char> bloc(outs.size(), 0);
-          for (size_t o = 0; o < outs.size(); ++o) {
-            const bool consistent =
-                prefilter ? OutputsConsistent(*outs[o], sums[o], *outs[rp],
-                                              sums[rp], check, &cstats)
-                          : OutputsConsistent(*outs[o], *outs[rp], check);
-            if (consistent) {
-              bloc[o] = 1;
-              ++size;
-            }
+    const int64_t cpu0 = util::ThreadCpuMicros();
+    CheckStats cstats;
+    size_t best = 0, best_size = 0;
+    std::vector<char> best_bloc;  // per healthy report: in the bloc
+    {
+      obs::TraceContextScope troot(state.trace_id, 0);
+      obs::ScopedSpan span("monitor/verify",
+                           {.stage = static_cast<int32_t>(s),
+                            .batch = static_cast<int64_t>(base + b),
+                            .tag = "quorum"},
+                           &obs::TraceBuffer::Default(),
+                           stages_[s].metrics.verify_us);
+      for (size_t rp = 0; rp < healthy.size(); ++rp) {
+        const size_t ri = healthy[rp];
+        size_t size = 0;
+        std::vector<char> bloc(healthy.size(), 0);
+        for (size_t o = 0; o < healthy.size(); ++o) {
+          const size_t oi = healthy[o];
+          const bool consistent =
+              config_.digest_prefilter
+                  ? OutputsConsistent(panel[oi]->outputs, sums[oi],
+                                      panel[ri]->outputs, sums[ri],
+                                      config_.check, &cstats)
+                  : OutputsConsistent(panel[oi]->outputs, panel[ri]->outputs,
+                                      config_.check);
+          if (consistent) {
+            bloc[o] = 1;
+            ++size;
           }
-          if (size > best_size) {
-            best_size = size;
-            best_pos = rp;
-            best_bloc = std::move(bloc);
-          }
+        }
+        if (size > best_size) {
+          best_size = size;
+          best = ri;
+          best_bloc = std::move(bloc);
         }
       }
-      const int64_t verify_cpu = util::ThreadCpuMicros() - cpu0;
-      return [this, s, b, k, st, outs, sums, in_snapshot, settled_count,
-              voting_count, cstats, verify_cpu, best_pos,
-              best_size,
-              best_bloc = std::move(best_bloc), &run_error,
-              &on_chosen, &note_verify_job, &note_checkpoint,
-              &dump_evidence, &begin_decision_event,
-              &dissents_from_chosen, &schedule_quorum, &lifecycle_dissent,
-              &schedule_full_vote]() {
-        --st->jobs_inflight;
-        st->verify_inflight.erase(s);
-        const bool was_dirty = st->verify_dirty.count(s) > 0;
-        st->verify_dirty.erase(s);
-        if (st->voted.count(s)) return;
-        note_verify_job(*st, verify_cpu, cstats);
-        // Quorum over the batch-frozen panel, not the configured k: a
-        // degraded panel keeps making progress.
-        const size_t quorum = voting_count / 2 + 1;
-        size_t received_now = 0;
-        for (size_t i = 0; i < k; ++i) {
-          if (st->masks[s][i] != 1) continue;
-          if (st->reports[s][i].has_value()) ++received_now;
-        }
-        if (best_size >= quorum) {
-          st->voted.insert(s);
-          begin_decision_event(*st, s, verify_cpu);
-          st->chosen[s] = *outs[best_pos];
-          st->chosen_summary[s] = sums[best_pos];
-          size_t dissent_now = settled_count - outs.size();
-          // Dissenting panel indices for the evidence trail: settled
-          // slots outside the winning bloc (failed slots always
-          // dissent; `o` walks healthy snapshot slots in panel order).
-          std::vector<int> dissent_idx;
-          {
-            size_t o = 0;
-            for (size_t i = 0; i < k; ++i) {
-              if (!in_snapshot[i]) continue;
-              const auto& r = st->reports[s][i];
-              if (!r.has_value() || !r->ok) {
-                dissent_idx.push_back(static_cast<int>(i));
-              } else {
-                if (o < best_bloc.size() && !best_bloc[o]) {
-                  dissent_idx.push_back(static_cast<int>(i));
-                }
-                ++o;
-              }
-            }
-          }
-          for (size_t o = 0; o < outs.size(); ++o) {
-            if (!best_bloc[o]) ++dissent_now;
-          }
-          m_.checkpoints_evaluated->Add(1);
-          m_.divergences->Add(dissent_now);
-          m_.divergences_total->Add(dissent_now);
-          note_checkpoint(s, b,
-                          dissent_now > 0 ? "divergence" : "accepted",
-                          st->v_chosen[s], dissent_idx);
-          if (dissent_now > 0 &&
-              config_.reaction.kind == ReactionKind::kAbort) {
-            if (run_error.ok()) {
-              run_error = util::DivergenceDetected(
-                  "stage " + std::to_string(s) + " batch " +
-                  std::to_string(b) + ": dissent under async quorum");
-            }
-            dump_evidence("vote-divergence", st->trace_id,
-                          run_error.message());
-            return;
-          }
-          for (int d : dissent_idx) {
-            lifecycle_dissent(s, static_cast<size_t>(d), b);
-          }
-          // Reports that landed between snapshot and decision are
-          // cross-validated as stragglers.
-          for (size_t i = 0; i < k; ++i) {
-            if (st->masks[s][i] != 1) continue;
-            const auto& r = st->reports[s][i];
-            if (!r.has_value() || in_snapshot[i]) continue;
-            const OutputsSummary rsum =
-                i < st->summaries[s].size() ? st->summaries[s][i]
-                                            : OutputsSummary{};
-            if (dissents_from_chosen(*st, s, *r, rsum)) {
-              m_.late_divergences->Add(1);
-              m_.divergences_total->Add(1);
-              note_checkpoint(s, b, "late-divergence", st->v_chosen[s],
-                              {static_cast<int>(i)});
-              lifecycle_dissent(s, i, b);
-            }
-          }
-          on_chosen(s, b);
-          return;
-        }
-        // No quorum in this snapshot.
-        if (received_now == voting_count) {
-          schedule_full_vote(s, b);
-          return;
-        }
-        if (was_dirty && received_now >= quorum) schedule_quorum(s, b);
-      };
-    });
+    }
+    const int64_t verify_cpu = util::ThreadCpuMicros() - cpu0;
+    note_verify_job(state, verify_cpu, cstats);
+    if (best_size < voting / 2 + 1) {
+      if (settled == voting) full_vote(s, b);
+      return;
+    }
+    state.voted.insert(s);
+    begin_decision_event(state, s, verify_cpu);
+    state.chosen[s] = panel[best]->outputs;
+    state.chosen_summary[s] = sums[best];
+    // Dissenting panel indices: settled slots outside the winning bloc
+    // (failed slots always dissent).
+    std::vector<int> dissent_idx;
+    for (size_t i = 0, o = 0; i < k; ++i) {
+      if (state.masks[s][i] != 1 || !panel[i].has_value()) continue;
+      if (!panel[i]->ok) {
+        dissent_idx.push_back(static_cast<int>(i));
+      } else if (!best_bloc[o++]) {
+        dissent_idx.push_back(static_cast<int>(i));
+      }
+    }
+    m_.checkpoints_evaluated->Add(1);
+    m_.divergences->Add(dissent_idx.size());
+    m_.divergences_total->Add(dissent_idx.size());
+    note_checkpoint(s, b, dissent_idx.empty() ? "accepted" : "divergence",
+                    state.v_chosen[s], dissent_idx);
+    if (!dissent_idx.empty() &&
+        config_.reaction.kind == ReactionKind::kAbort) {
+      if (run_error.ok()) {
+        run_error = util::DivergenceDetected(
+            "stage " + std::to_string(s) + " batch " + std::to_string(b) +
+            ": dissent under async quorum");
+      }
+      dump_evidence("vote-divergence", state.trace_id, run_error.message());
+      return;
+    }
+    for (int d : dissent_idx) {
+      lifecycle_dissent(s, static_cast<size_t>(d), b);
+    }
+    on_chosen(s, b);
   };
 
   auto handle_result = [&](size_t s, size_t vi, InferResultMsg&& msg) {
@@ -1996,22 +1853,13 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     }
 
     if (config_.mode == ExecMode::kSync) {
-      if (received == voting) schedule_full_vote(s, b);
+      if (received == voting) full_vote(s, b);
       return;
     }
 
     // Async cross-validation: proceed at majority consensus among the
-    // results received so far (Fig. 8). The bloc scan runs on the
-    // verify pool; if one is already in flight for this stage, mark it
-    // dirty so its applier re-examines the grown panel.
-    const size_t quorum = voting / 2 + 1;
-    if (received >= quorum) {
-      if (state.verify_inflight.count(s)) {
-        state.verify_dirty.insert(s);
-      } else {
-        schedule_quorum(s, b);
-      }
-    }
+    // results received so far (Fig. 8).
+    if (received >= voting / 2 + 1) try_quorum(s, b);
   };
 
   // A departed slot (quarantined or retired) can no longer send what it
@@ -2058,16 +1906,15 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     return released;
   };
 
-  // Evented loop: drain completed verify verdicts, refill free pipeline
-  // slots from the feed, poll every variant channel without blocking,
-  // then — only if nothing happened — block on the shared wait set
-  // until a frame lands or a verify job completes. The stream ends once
-  // the feed quiesces with nothing in flight, no verify job pending and
-  // no report owed.
+  // Evented loop: reclaim finished batches, refill free pipeline slots
+  // from the feed, poll every variant channel without blocking, then —
+  // only if nothing happened — block on the shared wait set until a
+  // frame lands or work is submitted. Each report is cross-validated
+  // as it is handled. The stream ends once the feed quiesces with
+  // nothing in flight and no report owed.
   int64_t idle_deadline = util::NowMicros() + config_.recv_timeout_us;
   auto work_remains = [&] {
-    return completed < admitted || pool.pending() > 0 || owed_total > 0 ||
-           !feed.quiesce();
+    return completed < admitted || owed_total > 0 || !feed.quiesce();
   };
   while (work_remains() && run_error.ok()) {
     // Liveness beacon for the stall watchdog: the loop either makes
@@ -2081,23 +1928,9 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     const uint64_t epoch = wait_set_->Epoch();
     bool progressed = false;
 
-    // 1) Completed cross-validation verdicts (appliers mutate stream
-    //    state, so they execute here, on the monitor thread).
-    while (auto apply = pool.TryPopCompleted()) {
-      if (*apply) (*apply)();
-      progressed = true;
-    }
-    const int64_t qdepth = static_cast<int64_t>(pool.queued());
-    m_.verify_queue_depth->Set(qdepth);
-    if (qdepth > m_.verify_queue_depth_hwm->value()) {
-      m_.verify_queue_depth_hwm->Set(qdepth);
-    }
-
-    // 1b) Reclaim every completed batch that no verify job reads and
-    //     that owes no report.
+    // 1) Reclaim every completed batch that owes no report.
     std::erase_if(bs, [](const auto& entry) {
-      const BatchState& state = entry.second;
-      return state.complete && state.jobs_inflight == 0 && state.owed == 0;
+      return entry.second.complete && entry.second.owed == 0;
     });
 
     // 2) Refill: pull scheduler-formed work into every free pipeline
@@ -2196,7 +2029,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
         idle_deadline = now + config_.recv_timeout_us;
         continue;
       }
-      if (completed == admitted && pool.pending() == 0 && owed_total == 0) {
+      if (completed == admitted && owed_total == 0) {
         // An idle stream owes nothing: waiting for work is not a
         // variant stall.
         idle_deadline = now + config_.recv_timeout_us;
@@ -2208,6 +2041,10 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
         // slot of a dispatched MVX stage, and let the verdict machinery
         // (and the supervisor, if any) take it from there. Fast-path
         // stages have no panel to absorb the loss — they still abort.
+        // Only members silent for recv_timeout_us are classified: a
+        // failure synthesized here can decide a stage and feed the next
+        // one within this pass, and that stage's members just got their
+        // inputs.
         bool classified = false;
         if (config_.reaction.kind != ReactionKind::kAbort) {
           for (auto& [b, state] : bs) {
@@ -2219,7 +2056,10 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
               }
               for (size_t vi = 0;
                    vi < stages_[s].variants.size() && run_error.ok(); ++vi) {
-                if (!state.owes[s][vi] || state.masks[s][vi] != 1) continue;
+                if (!state.owes[s][vi] || state.masks[s][vi] != 1 ||
+                    now - silent_since[s][vi] <= config_.recv_timeout_us) {
+                  continue;
+                }
                 event_vbase = vclock_us_;
                 handling_cpu0 = util::ThreadCpuMicros();
                 send_cpu_excluded = 0;
@@ -2256,7 +2096,6 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
       m_.wait_us->Observe(util::NowMicros() - wait0);
     }
   }
-  m_.verify_queue_depth->Set(0);
   // A failed stream keeps no state: what is still owed can no longer be
   // checked.
   m_.unchecked_reports->Add(owed_total);

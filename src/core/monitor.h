@@ -68,10 +68,6 @@ struct MonitorConfig {
   // routing (direct_fastpath = false).
   bool verify_fast_path = false;
   int64_t recv_timeout_us = 30'000'000;
-  // Worker threads for MVX cross-validation (Vote / pairwise
-  // consistency). 0 runs verification inline on the ingestion thread
-  // (deterministic; the pre-evented behavior).
-  int verify_threads = 2;
   // Hash each reported output list once on ingestion and short-circuit
   // pairwise element-wise checks when digests match (byte-identical
   // replicas) — the all-agree case becomes O(k) hashes, not O(k²) scans.
@@ -189,12 +185,12 @@ struct InferenceRequest {
   // scheduling hint: it never enters the attested channel's AAD and
   // grants no authority (DESIGN.md §13). "" schedules as one shared
   // tenant.
-  std::string tenant;
+  std::string tenant = {};
   // Higher dispatches earlier among equal-deadline work.
   int32_t priority = 0;
   // Model-zoo routing key for multi-model front ends
   // (service::Scheduler); ignored by a single-model Monitor.
-  std::string model;
+  std::string model = {};
 };
 
 struct InferenceResponse {
@@ -419,7 +415,7 @@ class Monitor {
   // Feed hooks for RunStream: the stream starts empty and pulls work
   // from the feed whenever a pipeline slot frees, delivering each
   // batch's result as soon as it completes. A completed batch's state
-  // is reclaimed once no verify job reads it and no report is owed.
+  // is reclaimed once no report is owed.
   struct StreamFeed {
     // Concurrent pipeline slots (SchedulerConfig::max_batch).
     size_t max_inflight = 1;
@@ -521,25 +517,18 @@ class Monitor {
     // (spawn + attest + handshake + identity + manifest evidence).
     obs::Histogram* rebootstrap_us = nullptr;
     // Evented-loop instruments: time spent blocked waiting for events
-    // vs. cross-validation work, verify-pool backlog, and digest
-    // prefilter effectiveness.
+    // vs. cross-validation work, and digest prefilter effectiveness.
     obs::Histogram* wait_us = nullptr;
     obs::Histogram* verify_job_us = nullptr;
-    obs::Gauge* verify_queue_depth = nullptr;
     obs::Counter* prefilter_hits = nullptr;
     obs::Counter* full_checks = nullptr;
-    // Lifetime instruments, never reset by ConsumeStats: cumulative
-    // divergence count (all classes) and the deepest verify-pool
-    // backlog ever observed.
+    // Lifetime instrument, never reset by ConsumeStats: cumulative
+    // divergence count (all classes).
     obs::Counter* divergences_total = nullptr;
-    obs::Gauge* verify_queue_depth_hwm = nullptr;
     // Liveness beacon: bumped once per request-loop and event-loop
     // iteration. The stall watchdog samples it; sustained silence while
     // work is pending means the loop is wedged.
     obs::Counter* loop_heartbeat = nullptr;
-    // Verify-pool worker threads started, summed over runs and streams
-    // (zero while no stage has an MVX panel).
-    obs::Counter* verify_workers_started = nullptr;
   };
   MonitorMetrics m_{};
   mutable std::mutex stats_mu_;
@@ -548,8 +537,8 @@ class Monitor {
   RunStats consumed_base_;                  // counter values at last consume
   std::atomic<uint64_t> next_batch_id_{0};
 
-  // Readiness set shared by every variant channel and the verify pool;
-  // the run loop blocks on it instead of busy-polling.
+  // Readiness set shared by every variant channel and the admission
+  // queue; the run loop blocks on it instead of busy-polling.
   std::shared_ptr<transport::WaitSet> wait_set_ =
       std::make_shared<transport::WaitSet>();
 

@@ -1,6 +1,5 @@
 #include "obs/watchdog.h"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <string>
@@ -11,33 +10,20 @@
 
 namespace mvtee::obs {
 
-int64_t StallWatchdog::ResolveKnob(const char* knob, const char* env_value,
-                                   int64_t min, int64_t max,
-                                   int64_t fallback) {
-  // The strict parser moved to util::ResolveKnob so the whole knob
-  // table (util::KnobRegistry) can share it; this shim keeps existing
-  // callers working.
-  return util::ResolveKnob(knob, env_value, min, max, fallback);
-}
-
 WatchdogOptions WatchdogOptions::FromEnv(WatchdogOptions base) {
   base.poll_interval_us =
-      StallWatchdog::ResolveKnob("MVTEE_WATCHDOG_POLL_MS",
-                                 std::getenv("MVTEE_WATCHDOG_POLL_MS"), 1,
-                                 60'000, base.poll_interval_us / 1000) *
+      util::ResolveKnob("MVTEE_WATCHDOG_POLL_MS",
+                        std::getenv("MVTEE_WATCHDOG_POLL_MS"), 1, 60'000,
+                        base.poll_interval_us / 1000) *
       1000;
   base.stall_threshold_us =
-      StallWatchdog::ResolveKnob("MVTEE_WATCHDOG_STALL_MS",
-                                 std::getenv("MVTEE_WATCHDOG_STALL_MS"), 1,
-                                 3'600'000, base.stall_threshold_us / 1000) *
+      util::ResolveKnob("MVTEE_WATCHDOG_STALL_MS",
+                        std::getenv("MVTEE_WATCHDOG_STALL_MS"), 1, 3'600'000,
+                        base.stall_threshold_us / 1000) *
       1000;
-  base.queue_depth_alarm = StallWatchdog::ResolveKnob(
+  base.queue_depth_alarm = util::ResolveKnob(
       "MVTEE_WATCHDOG_QUEUE_ALARM", std::getenv("MVTEE_WATCHDOG_QUEUE_ALARM"),
       0, 1'000'000, base.queue_depth_alarm);
-  base.verify_backlog_alarm = StallWatchdog::ResolveKnob(
-      "MVTEE_WATCHDOG_VERIFY_ALARM",
-      std::getenv("MVTEE_WATCHDOG_VERIFY_ALARM"), 0, 1'000'000,
-      base.verify_backlog_alarm);
   return base;
 }
 
@@ -47,12 +33,9 @@ StallWatchdog::StallWatchdog(Registry& registry, WatchdogOptions options,
   heartbeat_ = &registry_.GetCounter("monitor.loop_heartbeat");
   queue_depth_ = &registry_.GetGauge("service.admission_queue_depth");
   inflight_ = &registry_.GetGauge("service.inflight");
-  verify_depth_ = &registry_.GetGauge("monitor.verify_queue_depth");
   ticks_ = &registry_.GetCounter("watchdog.ticks_total");
   stall_alarms_ = &registry_.GetCounter("watchdog.stall_alarms_total");
   queue_alarms_ = &registry_.GetCounter("watchdog.queue_alarms_total");
-  verify_alarms_ =
-      &registry_.GetCounter("watchdog.verify_backlog_alarms_total");
   stall_bundles_ = &registry_.GetCounter("watchdog.stall_bundles_total");
   healthy_gauge_ = &registry_.GetGauge("watchdog.healthy");
   healthy_gauge_->Set(1);
@@ -106,7 +89,6 @@ void StallWatchdog::Evaluate(int64_t now_us) {
   const uint64_t beat = heartbeat_->value();
   const int64_t queue = queue_depth_->value();
   const int64_t inflight = inflight_->value();
-  const int64_t verify = verify_depth_->value();
 
   std::string dump_reason;  // non-empty: dump a stall bundle (outside mu_)
   {
@@ -121,6 +103,11 @@ void StallWatchdog::Evaluate(int64_t now_us) {
     }
     const int64_t silent_us = now_us - last_advance_us_;
     const bool busy = queue > 0 || inflight > 0;
+    if (!busy) {
+      // Idle silence is healthy: the episode ends and re-arms too.
+      stalled_ = false;
+      bundle_dumped_ = false;
+    }
     const bool stall_now = busy && silent_us >= options_.stall_threshold_us;
     if (stall_now && !stalled_) {
       stalled_ = true;
@@ -130,17 +117,12 @@ void StallWatchdog::Evaluate(int64_t now_us) {
                            queue >= options_.queue_depth_alarm;
     if (queue_now && !queue_alarmed_) queue_alarms_->Add(1);
     queue_alarmed_ = queue_now;
-    const bool verify_now = options_.verify_backlog_alarm > 0 &&
-                            verify >= options_.verify_backlog_alarm;
-    if (verify_now && !verify_alarmed_) verify_alarms_->Add(1);
-    verify_alarmed_ = verify_now;
 
-    health_.healthy = !stalled_ && !queue_now && !verify_now;
+    health_.healthy = !stalled_ && !queue_now;
     health_.heartbeat = beat;
     health_.silent_for_us = silent_us;
     health_.queue_depth = queue;
     health_.inflight = inflight;
-    health_.verify_queue_depth = verify;
     health_.stall_alarms = stall_alarms_->value();
     if (health_.healthy) {
       health_.reason.clear();
@@ -149,14 +131,10 @@ void StallWatchdog::Evaluate(int64_t now_us) {
                        std::to_string(silent_us) + "us with " +
                        std::to_string(queue) + " queued / " +
                        std::to_string(inflight) + " inflight";
-    } else if (queue_now) {
+    } else {
       health_.reason = "admission queue depth " + std::to_string(queue) +
                        " >= alarm " +
                        std::to_string(options_.queue_depth_alarm);
-    } else {
-      health_.reason = "verify backlog " + std::to_string(verify) +
-                       " >= alarm " +
-                       std::to_string(options_.verify_backlog_alarm);
     }
     healthy_gauge_->Set(health_.healthy ? 1 : 0);
     if (stalled_ && !bundle_dumped_) {

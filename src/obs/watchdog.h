@@ -3,24 +3,23 @@
 //
 // The monitor bumps `monitor.loop_heartbeat` once per event-loop (and
 // request-loop) iteration. The watchdog samples it every
-// poll_interval_us together with the admission-queue depth, the
-// inflight gauge and the verify-pool backlog, and raises three alarm
-// classes:
+// poll_interval_us together with the admission-queue depth and the
+// inflight gauge, and raises two alarm classes:
 //
-//   stall          — the heartbeat has been silent for at least
-//                    stall_threshold_us while work is pending
-//                    (queue depth or inflight > 0). Idle silence is
-//                    healthy: an empty service parks in cv.wait.
-//   queue          — admission-queue depth at/above queue_depth_alarm.
-//   verify backlog — monitor.verify_queue_depth at/above
-//                    verify_backlog_alarm.
+//   stall — the heartbeat has been silent for at least
+//           stall_threshold_us while work is pending (queue depth or
+//           inflight > 0). Idle silence is healthy: an empty service
+//           parks in cv.wait.
+//   queue — admission-queue depth at/above queue_depth_alarm.
 //
 // Every alarm increments its watchdog.*_total counter on the rising
 // edge and holds /healthz unhealthy while active; a *sustained stall*
 // additionally dumps a FlightRecorder evidence bundle (trigger
-// "watchdog-stall", once per stall episode — re-armed when the
-// heartbeat advances) so the wedged state leaves the same forensic
-// artifact a divergence would.
+// "watchdog-stall", once per stall episode) so the wedged state leaves
+// the same forensic artifact a divergence would. An episode ends, and
+// re-arms the bundle, when the heartbeat advances or the service goes
+// idle: a request released from a stall can complete within the
+// iteration that was stuck, and nothing bumps the heartbeat after it.
 #pragma once
 
 #include <condition_variable>
@@ -41,13 +40,11 @@ struct WatchdogOptions {
   int64_t stall_threshold_us = 2'000'000;
   // Admission-queue depth alarm; 0 disables.
   int64_t queue_depth_alarm = 48;
-  // Verify-pool backlog alarm; 0 disables.
-  int64_t verify_backlog_alarm = 256;
 
-  // Applies the MVTEE_WATCHDOG_{POLL_MS,STALL_MS,QUEUE_ALARM,
-  // VERIFY_ALARM} env knobs on top of `base`. Values are validated
-  // strictly (ResolveKnob); an invalid value keeps the base with a
-  // logged warning.
+  // Applies the MVTEE_WATCHDOG_{POLL_MS,STALL_MS,QUEUE_ALARM} env knobs
+  // on top of `base`. Values are validated strictly
+  // (util::ResolveKnob); an invalid value keeps the base with a logged
+  // warning.
   static WatchdogOptions FromEnv(WatchdogOptions base);
   static WatchdogOptions FromEnv() { return FromEnv(WatchdogOptions{}); }
 };
@@ -62,7 +59,6 @@ class StallWatchdog {
     int64_t silent_for_us = 0;  // since the last heartbeat advance
     int64_t queue_depth = 0;
     int64_t inflight = 0;
-    int64_t verify_queue_depth = 0;
     uint64_t stall_alarms = 0;  // episodes since Start
   };
 
@@ -83,13 +79,6 @@ class StallWatchdog {
   // exercised by the thread loop.
   void Evaluate(int64_t now_us);
 
-  // Strict env-knob parsing in the ResolveThreadCount style: rejects
-  // signs, whitespace, partial parses and out-of-range values with a
-  // logged warning naming `knob`, returning `fallback`. `env_value`
-  // may be nullptr (unset). Exposed for tests.
-  static int64_t ResolveKnob(const char* knob, const char* env_value,
-                             int64_t min, int64_t max, int64_t fallback);
-
  private:
   Registry& registry_;
   WatchdogOptions options_;
@@ -99,12 +88,10 @@ class StallWatchdog {
   Counter* heartbeat_ = nullptr;          // monitor.loop_heartbeat
   Gauge* queue_depth_ = nullptr;          // service.admission_queue_depth
   Gauge* inflight_ = nullptr;             // service.inflight
-  Gauge* verify_depth_ = nullptr;         // monitor.verify_queue_depth
   // Published instruments.
   Counter* ticks_ = nullptr;              // watchdog.ticks_total
   Counter* stall_alarms_ = nullptr;       // watchdog.stall_alarms_total
   Counter* queue_alarms_ = nullptr;       // watchdog.queue_alarms_total
-  Counter* verify_alarms_ = nullptr;      // watchdog.verify_backlog_alarms_total
   Counter* stall_bundles_ = nullptr;      // watchdog.stall_bundles_total
   Gauge* healthy_gauge_ = nullptr;        // watchdog.healthy (1|0)
 
@@ -122,7 +109,6 @@ class StallWatchdog {
   bool stalled_ = false;         // inside a stall episode
   bool bundle_dumped_ = false;   // this episode already left evidence
   bool queue_alarmed_ = false;
-  bool verify_alarmed_ = false;
   Health health_{};
 };
 

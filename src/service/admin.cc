@@ -138,7 +138,6 @@ AdminServer::HttpResponse AdminServer::Healthz() {
   body.emplace_back("silent_for_us", h.silent_for_us);
   body.emplace_back("queue_depth", h.queue_depth);
   body.emplace_back("inflight", h.inflight);
-  body.emplace_back("verify_queue_depth", h.verify_queue_depth);
   body.emplace_back("stall_alarms", h.stall_alarms);
   // Supervisor panel verdict: a retired or quarantined variant is an
   // operator-visible condition, but panel self-healing is the design —

@@ -71,8 +71,6 @@ std::vector<KnobDesc> BuiltinTable() {
        "heartbeat silence before a stall alarm"},
       {"MVTEE_WATCHDOG_QUEUE_ALARM", Kind::kInt, 0, 1'000'000, 48, "48",
        "admission-queue depth that raises an alarm"},
-      {"MVTEE_WATCHDOG_VERIFY_ALARM", Kind::kInt, 0, 1'000'000, 256, "256",
-       "verify-pool backlog that raises an alarm"},
       {"MVTEE_ADMIN_PORT", Kind::kInt, 0, 65'535, -1, "off",
        "loopback TCP port for /healthz /metrics /status (0 = ephemeral)"},
       {"MVTEE_ADMIN_LINGER_MS", Kind::kInt, 0, 3'600'000, 0, "0",
@@ -80,7 +78,7 @@ std::vector<KnobDesc> BuiltinTable() {
       {"MVTEE_SCHED_WINDOW_US", Kind::kInt, 0, 10'000'000, 2000, "2000",
        "EDF reordering horizon for fresh slack requests (0 = off)"},
       {"MVTEE_SCHED_MAX_BATCH", Kind::kInt, 1, 1024, 8, "8",
-       "max requests coalesced into one admission batch"},
+       "concurrent pipeline slots; also each async panel member's lag budget"},
       {"MVTEE_SCHED_EDF", Kind::kInt, 0, 1, 1, "1",
        "earliest-deadline-first ordering in the scheduler"},
       {"MVTEE_SCHED_QUOTA_PCT", Kind::kInt, 1, 100, 100, "100",

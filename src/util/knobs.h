@@ -17,8 +17,7 @@
 //     log one warning per process, so typos like MVTEE_THERADS fail
 //     loudly instead of silently doing nothing.
 //
-// ResolveKnob itself lives here (moved from obs::StallWatchdog, which
-// keeps a delegating shim) so layers below obs can use it.
+// ResolveKnob itself lives here so layers below obs can use it.
 #ifndef MVTEE_UTIL_KNOBS_H_
 #define MVTEE_UTIL_KNOBS_H_
 

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "core/consistency.h"
-#include "core/verify_pool.h"
 #include "core/messages.h"
 #include "core/monitor.h"
 #include "core/offline.h"
@@ -301,7 +300,9 @@ class MvteeSystemTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    if (monitor_) ASSERT_TRUE(monitor_->Shutdown().ok());
+    if (monitor_) {
+      ASSERT_TRUE(monitor_->Shutdown().ok());
+    }
     if (host_) host_->JoinAll();
   }
 
@@ -781,66 +782,6 @@ TEST_F(MvteeSystemTest, BindingsRecordAttestation) {
     EXPECT_TRUE(b.active);
     EXPECT_GT(b.enclave_report_id, 0u);  // secure channels attested
   }
-}
-
-// ---------------------------------------------------------- verify pool
-
-TEST(VerifyPoolTest, InlineModeRunsTaskAndApplierInSubmit) {
-  VerifyPool pool(0, nullptr);
-  int task_runs = 0, apply_runs = 0;
-  pool.Submit([&]() -> VerifyPool::Apply {
-    ++task_runs;
-    return [&] { ++apply_runs; };
-  });
-  // Zero threads degrades to synchronous execution: both closures ran
-  // before Submit returned, nothing is left pending.
-  EXPECT_EQ(task_runs, 1);
-  EXPECT_EQ(apply_runs, 1);
-  EXPECT_EQ(pool.pending(), 0u);
-  EXPECT_FALSE(pool.TryPopCompleted().has_value());
-}
-
-TEST(VerifyPoolTest, ThreadedModeDefersApplierToConsumer) {
-  auto waiter = std::make_shared<transport::WaitSet>();
-  VerifyPool pool(2, waiter);
-  std::atomic<int> task_runs{0};
-  int apply_runs = 0;  // mutated only on this (consumer) thread
-  const int kJobs = 16;
-  for (int i = 0; i < kJobs; ++i) {
-    pool.Submit([&]() -> VerifyPool::Apply {
-      task_runs.fetch_add(1);
-      return [&] { ++apply_runs; };
-    });
-  }
-  // Drain: block on the waiter, then pop completed appliers.
-  while (pool.pending() > 0) {
-    const uint64_t epoch = waiter->Epoch();
-    bool popped = false;
-    while (auto apply = pool.TryPopCompleted()) {
-      (*apply)();
-      popped = true;
-    }
-    if (!popped && pool.pending() > 0) waiter->WaitFor(epoch, 100'000);
-  }
-  EXPECT_EQ(task_runs.load(), kJobs);
-  EXPECT_EQ(apply_runs, kJobs);
-  EXPECT_EQ(pool.queued(), 0u);
-}
-
-TEST(VerifyPoolTest, DestructorDrainsSubmittedTasks) {
-  // Submitted work is never dropped: the pool finishes queued tasks on
-  // shutdown even if the consumer stopped popping.
-  std::atomic<int> task_runs{0};
-  {
-    VerifyPool pool(1, nullptr);
-    for (int i = 0; i < 8; ++i) {
-      pool.Submit([&]() -> VerifyPool::Apply {
-        task_runs.fetch_add(1);
-        return [] {};
-      });
-    }
-  }
-  EXPECT_EQ(task_runs.load(), 8);
 }
 
 }  // namespace

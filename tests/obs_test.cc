@@ -534,7 +534,7 @@ TEST(ChromeTraceExporterTest, EmitsValidTraceEventJson) {
 TEST(PrometheusExporterTest, TextExpositionFormat) {
   Registry registry;
   registry.GetCounter("monitor.divergences_total").Add(3);
-  registry.GetGauge("monitor.verify_queue_depth_hwm").Set(7);
+  registry.GetGauge("service.admission_queue_depth_hwm").Set(7);
   Histogram& h = registry.GetHistogram("monitor.batch_latency_us");
   for (int64_t v : {100, 200, 300}) h.Observe(v);
 
@@ -546,9 +546,9 @@ TEST(PrometheusExporterTest, TextExpositionFormat) {
   EXPECT_NE(text.find("mvtee_monitor_divergences_total 3\n"),
             std::string::npos);
   EXPECT_NE(
-      text.find("# TYPE mvtee_monitor_verify_queue_depth_hwm gauge\n"),
+      text.find("# TYPE mvtee_service_admission_queue_depth_hwm gauge\n"),
       std::string::npos);
-  EXPECT_NE(text.find("mvtee_monitor_verify_queue_depth_hwm 7\n"),
+  EXPECT_NE(text.find("mvtee_service_admission_queue_depth_hwm 7\n"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE mvtee_monitor_batch_latency_us summary\n"),
             std::string::npos);
@@ -764,37 +764,14 @@ TEST(TimelineLogTest, ToJsonKeepsTraceIdExact) {
 
 // ------------------------------------------------------------ watchdog
 
-TEST(WatchdogKnobTest, ResolveKnobStrictParsing) {
-  auto resolve = [](const char* v) {
-    return StallWatchdog::ResolveKnob("TEST_KNOB", v, 1, 60'000, 42);
-  };
-  EXPECT_EQ(resolve(nullptr), 42);  // unset: silent default
-  EXPECT_EQ(resolve(""), 42);
-  EXPECT_EQ(resolve("abc"), 42);
-  EXPECT_EQ(resolve("-3"), 42);   // signs rejected
-  EXPECT_EQ(resolve("+3"), 42);
-  EXPECT_EQ(resolve(" 5"), 42);   // whitespace rejected
-  EXPECT_EQ(resolve("4q"), 42);   // partial parse rejected
-  EXPECT_EQ(resolve("3.5"), 42);
-  EXPECT_EQ(resolve("0"), 42);    // below min
-  EXPECT_EQ(resolve("60001"), 42);  // above max
-  EXPECT_EQ(resolve("99999999999999999999999"), 42);  // overflow
-  EXPECT_EQ(resolve("1"), 1);
-  EXPECT_EQ(resolve("25"), 25);
-  EXPECT_EQ(resolve("60000"), 60'000);
-}
-
 TEST(WatchdogKnobTest, OptionsFromEnvAppliesValidValues) {
   ::setenv("MVTEE_WATCHDOG_POLL_MS", "5", 1);
   ::setenv("MVTEE_WATCHDOG_STALL_MS", "150", 1);
   ::setenv("MVTEE_WATCHDOG_QUEUE_ALARM", "bogus", 1);  // keeps default
-  ::unsetenv("MVTEE_WATCHDOG_VERIFY_ALARM");
   WatchdogOptions opts = WatchdogOptions::FromEnv();
   EXPECT_EQ(opts.poll_interval_us, 5'000);
   EXPECT_EQ(opts.stall_threshold_us, 150'000);
   EXPECT_EQ(opts.queue_depth_alarm, WatchdogOptions{}.queue_depth_alarm);
-  EXPECT_EQ(opts.verify_backlog_alarm,
-            WatchdogOptions{}.verify_backlog_alarm);
   ::unsetenv("MVTEE_WATCHDOG_POLL_MS");
   ::unsetenv("MVTEE_WATCHDOG_STALL_MS");
   ::unsetenv("MVTEE_WATCHDOG_QUEUE_ALARM");
@@ -904,16 +881,14 @@ TEST(WatchdogTest, SustainedStallDumpsOneEvidenceBundle) {
   ::rmdir(dir_template);
 }
 
-TEST(WatchdogTest, QueueAndVerifyBacklogAlarms) {
+TEST(WatchdogTest, QueueDepthAlarm) {
   Registry reg;
   WatchdogOptions opts;
   opts.queue_depth_alarm = 4;
-  opts.verify_backlog_alarm = 8;
   FlightRecorder recorder(4);
   StallWatchdog dog(reg, opts, &recorder);
   Counter& beat = reg.GetCounter("monitor.loop_heartbeat");
   Gauge& queue = reg.GetGauge("service.admission_queue_depth");
-  Gauge& verify = reg.GetGauge("monitor.verify_queue_depth");
   int64_t now = 1'000'000'000;
   auto tick = [&] {  // heartbeat keeps advancing: no stall in play
     beat.Add(1);
@@ -930,15 +905,58 @@ TEST(WatchdogTest, QueueAndVerifyBacklogAlarms) {
   tick();  // held condition: rising-edge counter does not re-fire
   EXPECT_EQ(reg.GetCounter("watchdog.queue_alarms_total").value(), 1u);
   queue.Set(0);
-  verify.Set(9);
-  tick();
-  EXPECT_FALSE(dog.health().healthy);
-  EXPECT_NE(dog.health().reason.find("verify backlog"), std::string::npos);
-  EXPECT_EQ(reg.GetCounter("watchdog.verify_backlog_alarms_total").value(),
-            1u);
-  verify.Set(0);
   tick();
   EXPECT_TRUE(dog.health().healthy);
+}
+
+TEST(WatchdogTest, StallEpisodeEndsWhenServiceGoesIdle) {
+  // A request released from a stall can complete within the loop
+  // iteration that was stuck: queue and inflight drop to 0 and nothing
+  // bumps the heartbeat again. Idle silence is healthy, so the episode
+  // ends there, and the next stall is a new episode with new evidence.
+  char dir_template[] = "/tmp/mvtee-watchdog-XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  ::setenv("MVTEE_EVIDENCE_DIR", dir_template, 1);
+
+  Registry reg;
+  WatchdogOptions opts;
+  opts.stall_threshold_us = 100'000;
+  FlightRecorder recorder(4);
+  StallWatchdog dog(reg, opts, &recorder);
+  Gauge& queue = reg.GetGauge("service.admission_queue_depth");
+  Gauge& inflight = reg.GetGauge("service.inflight");
+  Counter& bundles = reg.GetCounter("watchdog.stall_bundles_total");
+  const int64_t t0 = 1'000'000'000;
+  reg.GetCounter("monitor.loop_heartbeat").Add(1);
+  dog.Evaluate(t0);  // baseline
+  queue.Set(1);
+  inflight.Set(1);
+  dog.Evaluate(t0 + opts.stall_threshold_us);
+  EXPECT_FALSE(dog.health().healthy);
+  EXPECT_EQ(bundles.value(), 1u);
+  // Released: the request completes and no heartbeat follows.
+  queue.Set(0);
+  inflight.Set(0);
+  dog.Evaluate(t0 + 2 * opts.stall_threshold_us);
+  EXPECT_TRUE(dog.health().healthy);
+  EXPECT_EQ(reg.GetGauge("watchdog.healthy").value(), 1);
+  // New work meets a silent loop again: a second episode and bundle.
+  inflight.Set(1);
+  dog.Evaluate(t0 + 4 * opts.stall_threshold_us);
+  EXPECT_FALSE(dog.health().healthy);
+  EXPECT_EQ(dog.health().stall_alarms, 2u);
+  EXPECT_EQ(bundles.value(), 2u);
+
+  const std::string dir(dir_template);
+  ::DIR* d = ::opendir(dir.c_str());
+  ASSERT_NE(d, nullptr);
+  while (dirent* e = ::readdir(d)) {
+    const std::string name = e->d_name;
+    if (name != "." && name != "..") std::remove((dir + "/" + name).c_str());
+  }
+  ::closedir(d);
+  ::unsetenv("MVTEE_EVIDENCE_DIR");
+  ::rmdir(dir_template);
 }
 
 TEST(WatchdogTest, BackgroundThreadTicks) {

@@ -230,7 +230,9 @@ class VirtualTimeTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    if (monitor_) ASSERT_TRUE(monitor_->Shutdown().ok());
+    if (monitor_) {
+      ASSERT_TRUE(monitor_->Shutdown().ok());
+    }
     if (host_) host_->JoinAll();
   }
 
@@ -540,16 +542,12 @@ TEST_F(VirtualTimeTest, EventedMonitorExposesWaitAndPrefilterMetrics) {
   EXPECT_EQ(delta.counters.at("monitor.full_checks"), 0u);
   EXPECT_GT(delta.histograms.at("monitor.wait_us").count, 0u);
   EXPECT_GT(delta.histograms.at("monitor.verify_job_us").count, 0u);
-  // The pool drained before RunBatches returned.
-  EXPECT_EQ(delta.gauges.at("monitor.verify_queue_depth"), 0);
 }
 
-TEST_F(VirtualTimeTest, InlineVerifyAndPrefilterOffStillCorrect) {
-  // verify_threads = 0 degrades to deterministic inline verification
-  // and digest_prefilter = false forces full element-wise votes; both
-  // must preserve results and checkpoint accounting.
+TEST_F(VirtualTimeTest, PrefilterOffStillCorrect) {
+  // digest_prefilter = false forces full element-wise votes; results
+  // and checkpoint accounting must not change.
   MonitorConfig config;
-  config.verify_threads = 0;
   config.digest_prefilter = false;
   Boot(config, 3, 3);
   auto batches = MakeBatches(3);
@@ -961,7 +959,10 @@ TEST_F(VirtualTimeTest, RecvTimeoutBecomesVariantFailureNotRunError) {
   // The hook parks the variant's first inference on a latch (released
   // after RunBatches) rather than a fixed sleep, so the silence outlasts the
   // recv timeout regardless of scheduler load; respawned instances of
-  // the variant run clean.
+  // the variant run clean. It also guards the classifier's silence
+  // rule: the failure synthesized for stage 0 decides that stage and
+  // feeds stage 1 within the same pass, and stage 1's members, which
+  // just got their inputs, must not be declared timed out too.
   class HangFirstCall : public runtime::FaultHook {
    public:
     util::Status OnNodeStart(const graph::Node&) override {

@@ -482,6 +482,28 @@ TEST(LoggingTest, TraceIdProviderStampsLogLines) {
   SetLogTraceIdProvider(nullptr);
 }
 
+// ---------------------------------------------------- strict knob parse
+
+TEST(KnobRegistryTest, ResolveKnobStrictParsing) {
+  auto resolve = [](const char* v) {
+    return ResolveKnob("TEST_KNOB", v, 1, 60'000, 42);
+  };
+  EXPECT_EQ(resolve(nullptr), 42);  // unset: silent default
+  EXPECT_EQ(resolve(""), 42);
+  EXPECT_EQ(resolve("abc"), 42);
+  EXPECT_EQ(resolve("-3"), 42);   // signs rejected
+  EXPECT_EQ(resolve("+3"), 42);
+  EXPECT_EQ(resolve(" 5"), 42);   // whitespace rejected
+  EXPECT_EQ(resolve("4q"), 42);   // partial parse rejected
+  EXPECT_EQ(resolve("3.5"), 42);
+  EXPECT_EQ(resolve("0"), 42);    // below min
+  EXPECT_EQ(resolve("60001"), 42);  // above max
+  EXPECT_EQ(resolve("99999999999999999999999"), 42);  // overflow
+  EXPECT_EQ(resolve("1"), 1);
+  EXPECT_EQ(resolve("25"), 25);
+  EXPECT_EQ(resolve("60000"), 60'000);
+}
+
 // ------------------------------------------------- kernel-layer knobs
 
 TEST(KnobRegistryTest, SimdKnobRejectsGarbageStrictly) {
