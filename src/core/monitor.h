@@ -68,10 +68,6 @@ struct MonitorConfig {
   // routing (direct_fastpath = false).
   bool verify_fast_path = false;
   int64_t recv_timeout_us = 30'000'000;
-  // Hash each reported output list once on ingestion and short-circuit
-  // pairwise element-wise checks when digests match (byte-identical
-  // replicas) — the all-agree case becomes O(k) hashes, not O(k²) scans.
-  bool digest_prefilter = true;
   // Fault-injection seam: called once per event-loop iteration, right
   // after the monitor.loop_heartbeat increment. A test hook that blocks
   // here simulates a wedged event loop (the stall the watchdog exists
@@ -365,6 +361,9 @@ class Monitor {
   std::vector<Binding> bindings() const;
 
  private:
+  // The serving stream runs on the monitor's state (stream_engine.h).
+  friend class StreamEngine;
+
   Monitor(std::unique_ptr<tee::Enclave> enclave, tee::SimulatedCpu* cpu,
           MonitorConfig config);
 
@@ -412,44 +411,9 @@ class Monitor {
   // inactive (the replacement is appended by BindVariant).
   void DeactivateBinding(int32_t stage, const std::string& variant_id);
 
-  // Feed hooks for RunStream: the stream starts empty and pulls work
-  // from the feed whenever a pipeline slot frees, delivering each
-  // batch's result as soon as it completes. A completed batch's state
-  // is reclaimed once no report is owed.
-  struct StreamFeed {
-    // Concurrent pipeline slots (SchedulerConfig::max_batch).
-    size_t max_inflight = 1;
-    // Pulls up to free_slots new batches (scheduler formation). Each
-    // appended batch is admitted immediately with the next batch
-    // index. Returns the number appended.
-    std::function<size_t(size_t free_slots,
-                         std::vector<std::vector<tensor::Tensor>>* out)>
-        refill;
-    // Delivers batch `b` (stream-local index) on the monitor thread
-    // the moment it completes.
-    std::function<void(size_t b, std::vector<tensor::Tensor> outputs,
-                       int64_t verify_us, uint64_t trace_id)>
-        deliver;
-    // True once the stream should stop pulling and return when the
-    // last inflight batch drains and no report is owed (service
-    // stopping, or the queue went idle).
-    std::function<bool()> quiesce;
-    // Earliest absolute wall time the feed wants a refill poll (batch
-    // window expiry); 0 = none.
-    std::function<int64_t()> next_wake_us;
-  };
-
-  // The event-driven engine behind the request loop: one serving
-  // stream. Returns its terminal status (OK on a clean quiesce).
-  util::Status RunStream(StreamFeed& feed);
-
   // The request loop body (service thread): runs serving streams
-  // (scheduler-formed batches through RunStream's feed hooks).
+  // (StreamEngine) while work is queued.
   void ServiceLoop();
-
-  // One serving stream: admits scheduler-formed requests until
-  // quiesced (stop / idle queue). Returns the stream's terminal status.
-  util::Status ServeStream(BatchFormer& former);
 
   // Resolves the monitor-level and per-stage metric instruments.
   void BindMetrics();

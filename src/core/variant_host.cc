@@ -367,9 +367,10 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
   };
 
   // A frame ends the idle wait at once. The bound keeps idle vCPUs
-  // ticking under host load (DESIGN.md §7).
+  // ticking under host load (DESIGN.md §7). An idle variant waits for
+  // as long as it takes: the monitor ends it with ShutdownMsg, or by
+  // dropping its channel end (kUnavailable above).
   const int64_t idle_wait_us = 50;
-  int64_t last_activity = util::NowMicros();
 
   for (;;) {
     // Taken before polling, so a frame that lands mid-poll ends the wait.
@@ -475,15 +476,7 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
       }
     }
 
-    if (progressed) {
-      last_activity = util::NowMicros();
-    } else {
-      if (util::NowMicros() - last_activity > options.recv_timeout_us) {
-        teardown();  // orphaned: monitor gone silent
-        return;
-      }
-      state.wake->WaitFor(epoch, idle_wait_us);
-    }
+    if (!progressed) state.wake->WaitFor(epoch, idle_wait_us);
   }
 }
 

@@ -40,6 +40,8 @@ class VariantHost {
     // Plaintext channels (encryption-overhead ablation only).
     bool plaintext_channels = false;
     size_t variant_epc_pages = 4096;
+    // Bounds each bootstrap handshake (monitor and pipe channels). A
+    // running variant has no idle timeout.
     int64_t recv_timeout_us = 30'000'000;
     // Host-attacker hook: installed on every variant-side endpoint's
     // transmit path before the service thread starts (models a

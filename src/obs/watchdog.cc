@@ -101,13 +101,16 @@ void StallWatchdog::Evaluate(int64_t now_us) {
       stalled_ = false;
       bundle_dumped_ = false;
     }
-    const int64_t silent_us = now_us - last_advance_us_;
     const bool busy = queue > 0 || inflight > 0;
     if (!busy) {
-      // Idle silence is healthy: the episode ends and re-arms too.
+      // Idle silence is healthy: the episode ends and re-arms too, and
+      // the silence clock restarts, so it runs only while work is
+      // pending.
+      last_advance_us_ = now_us;
       stalled_ = false;
       bundle_dumped_ = false;
     }
+    const int64_t silent_us = now_us - last_advance_us_;
     const bool stall_now = busy && silent_us >= options_.stall_threshold_us;
     if (stall_now && !stalled_) {
       stalled_ = true;

@@ -9,7 +9,9 @@
 //   stall — the heartbeat has been silent for at least
 //           stall_threshold_us while work is pending (queue depth or
 //           inflight > 0). Idle silence is healthy: an empty service
-//           parks in cv.wait.
+//           parks in cv.wait, and an idle sample restarts the silence
+//           clock, so the first busy sample after an idle spell is not
+//           a stall.
 //   queue — admission-queue depth at/above queue_depth_alarm.
 //
 // Every alarm increments its watchdog.*_total counter on the rising
@@ -56,7 +58,9 @@ class StallWatchdog {
     bool healthy = true;
     std::string reason;  // empty when healthy
     uint64_t heartbeat = 0;
-    int64_t silent_for_us = 0;  // since the last heartbeat advance
+    // Since the last heartbeat advance or idle sample: the silence
+    // clock runs only while work is pending.
+    int64_t silent_for_us = 0;
     int64_t queue_depth = 0;
     int64_t inflight = 0;
     uint64_t stall_alarms = 0;  // episodes since Start

@@ -959,6 +959,33 @@ TEST(WatchdogTest, StallEpisodeEndsWhenServiceGoesIdle) {
   ::rmdir(dir_template);
 }
 
+TEST(WatchdogTest, RequestAfterIdleSpellIsNotAStall) {
+  // The silence clock runs only while work is pending: a request that
+  // arrives after an idle spell longer than the threshold meets a loop
+  // that is parked, not wedged.
+  Registry reg;
+  WatchdogOptions opts;
+  opts.stall_threshold_us = 100'000;
+  FlightRecorder recorder(4);
+  StallWatchdog dog(reg, opts, &recorder);
+  const int64_t t0 = 1'000'000'000;
+  reg.GetCounter("monitor.loop_heartbeat").Add(1);
+  dog.Evaluate(t0);  // baseline
+  const int64_t idle = t0 + 10 * opts.stall_threshold_us;
+  dog.Evaluate(idle);  // a healthy idle sample
+  EXPECT_TRUE(dog.health().healthy);
+  reg.GetGauge("service.admission_queue_depth").Set(1);
+  dog.Evaluate(idle + 10);
+  EXPECT_TRUE(dog.health().healthy) << dog.health().reason;
+  EXPECT_EQ(dog.health().silent_for_us, 10);
+  EXPECT_EQ(reg.GetCounter("watchdog.stall_alarms_total").value(), 0u);
+  EXPECT_EQ(reg.GetCounter("watchdog.stall_bundles_total").value(), 0u);
+  // The loop staying silent with the request pending is still a stall.
+  dog.Evaluate(idle + 10 + opts.stall_threshold_us);
+  EXPECT_FALSE(dog.health().healthy);
+  EXPECT_EQ(reg.GetCounter("watchdog.stall_alarms_total").value(), 1u);
+}
+
 TEST(WatchdogTest, BackgroundThreadTicks) {
   Registry reg;
   WatchdogOptions opts;

@@ -8,6 +8,7 @@
 #include "core/variant_host.h"
 #include "fault/injectors.h"
 #include "graph/model_zoo.h"
+#include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "runtime/executor.h"
 #include "transport/channel.h"
@@ -22,6 +23,7 @@
 #include <fstream>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -163,8 +165,10 @@ INSTANTIATE_TEST_SUITE_P(Models, ZooDeploymentTest,
 // Fixture for virtual-time and attack-surface tests on a small model.
 class VirtualTimeTest : public ::testing::Test {
  protected:
+  // `s0v0_hook`, if set, is attached to stage 0's first variant.
   void Boot(MonitorConfig config, int partitions = 4, int variants = 1,
-            VariantHost::Options host_options = VariantHost::Options{}) {
+            VariantHost::Options host_options = VariantHost::Options{},
+            std::shared_ptr<runtime::FaultHook> s0v0_hook = nullptr) {
     model_ = graph::BuildModel(graph::ModelKind::kResNet50, SmallZoo());
     auto bundle =
         RunOfflineTool(model_, Offline(partitions, 5, /*replicated=*/true));
@@ -172,6 +176,7 @@ class VirtualTimeTest : public ::testing::Test {
     bundle_ = std::move(*bundle);
     host_ = std::make_unique<VariantHost>(&cpu_, bundle_.store,
                                           host_options);
+    if (s0v0_hook) host_->SetFaultHook("s0.v0", std::move(s0v0_hook));
     auto monitor = Monitor::Create(&cpu_, config);
     ASSERT_TRUE(monitor.ok());
     monitor_ = std::move(*monitor);
@@ -192,10 +197,12 @@ class VirtualTimeTest : public ::testing::Test {
   }
 
   // Boots a 3-stage ResNet-50 whose diversified pool includes a slow
-  // variant (s1.v2) behind an async majority panel {1, 3, 1}.
+  // variant (s1.v2) behind an async majority panel {1, 3, 1};
+  // `healthy_hook`, if set, is attached to the panel's other members.
   void BootPanel(std::shared_ptr<runtime::FaultHook> slow_hook,
                  MonitorConfig config = AsyncMajority(),
-                 VariantHost::Options host_options = {}) {
+                 VariantHost::Options host_options = {},
+                 std::shared_ptr<runtime::FaultHook> healthy_hook = nullptr) {
     model_ = graph::BuildModel(graph::ModelKind::kResNet50, SmallZoo());
     auto opts = Offline(3, 2, /*replicated=*/false);
     opts.pool.include_slow_variant = true;
@@ -206,6 +213,10 @@ class VirtualTimeTest : public ::testing::Test {
     host_ =
         std::make_unique<VariantHost>(&cpu_, bundle_.store, host_options);
     host_->SetFaultHook("s1.v2", std::move(slow_hook));
+    if (healthy_hook) {
+      host_->SetFaultHook("s1.v0", healthy_hook);
+      host_->SetFaultHook("s1.v1", healthy_hook);
+    }
     auto monitor = Monitor::Create(&cpu_, config);
     ASSERT_TRUE(monitor.ok());
     monitor_ = std::move(*monitor);
@@ -234,6 +245,9 @@ class VirtualTimeTest : public ::testing::Test {
       ASSERT_TRUE(monitor_->Shutdown().ok());
     }
     if (host_) host_->JoinAll();
+    // The flight recorder's ring is process-wide: a later test's
+    // evidence bundle must not carry this test's verdicts.
+    obs::FlightRecorder::Default().Clear();
   }
 
   tee::SimulatedCpu cpu_{tee::SimulatedCpu::Options{.hardware_key_seed = 7}};
@@ -371,6 +385,145 @@ TEST_F(VirtualTimeTest, ServedAsyncStragglersAreCrossChecked) {
   monitor_->StopService();  // waits for every owed report
   EXPECT_EQ(Count("monitor.unchecked_reports"), unchecked);
   EXPECT_GE(Count("monitor.late_divergences"), late + 1);
+}
+
+TEST_F(VirtualTimeTest, QuorumVerdictIsDatedByItsWinningBloc) {
+  // The slow member burns thread CPU at its first node and then fails,
+  // so its failure report carries about 6x that CPU in virtual time. The
+  // healthy members are held until that failure is counted; their
+  // quorum decides, and the verdict is dated by the bloc that won it,
+  // not by the failure it outvoted.
+  class BurnThenFail : public runtime::FaultHook {
+   public:
+    util::Status OnNodeStart(const graph::Node&) override {
+      const int64_t cpu0 = util::ThreadCpuMicros();
+      while (util::ThreadCpuMicros() - cpu0 < 10'000) {
+      }
+      return util::Internal("injected crash after 10 ms of CPU");
+    }
+  };
+  auto healthy = std::make_shared<GateHook>();
+  BootPanel(std::make_shared<BurnThenFail>(), AsyncMajority(), {}, healthy);
+  const obs::Counter& failures =
+      monitor_->metrics().GetCounter("monitor.variant_failures");
+  const uint64_t before = failures.value();
+  auto run = std::async(std::launch::async,
+                        [&] { return RunBatches(*monitor_, MakeBatches(1)); });
+  const bool failed = WaitForCounter(failures, before + 1);
+  healthy->Open();
+  ASSERT_TRUE(failed);
+  auto out = run.get();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+
+  std::optional<obs::CheckpointEvidence> verdict;
+  for (auto& ev : obs::FlightRecorder::Default().Snapshot()) {
+    if (ev.stage == 1 && ev.verdict == "divergence") verdict = std::move(ev);
+  }
+  ASSERT_TRUE(verdict.has_value());
+  ASSERT_EQ(verdict->variants.size(), 3u);
+  const obs::VariantEvidence& slow = verdict->variants[2];
+  EXPECT_EQ(slow.variant_id, "s1.v2");
+  EXPECT_FALSE(slow.ok);
+  EXPECT_TRUE(slow.dissent);
+  EXPECT_LT(verdict->v_decide_us, static_cast<int64_t>(slow.vtime_us));
+}
+
+TEST_F(VirtualTimeTest, AsyncQuorumJudgesLikeTheSyncVote) {
+  // Three replicated members whose final outputs are shifted by 0, +0.6
+  // and +1.2 under MaxAbs(1.0): A agrees with B and B with C, but A
+  // disagrees with C. The majority vote keeps A's bloc {A, B} and counts
+  // C as the one dissenter. The async quorum sees A and C first and B
+  // only after it voted on them, and must judge the same.
+  class Shift : public runtime::FaultHook {
+   public:
+    Shift(std::string node, float delta, std::shared_ptr<GateHook> gate)
+        : node_(std::move(node)), delta_(delta), gate_(std::move(gate)) {}
+    util::Status OnNodeStart(const graph::Node& node) override {
+      return gate_ ? gate_->OnNodeStart(node) : util::OkStatus();
+    }
+    void OnNodeComplete(const graph::Node& node, Tensor& out) override {
+      if (node.name != node_) return;
+      float* data = out.data();
+      for (int64_t i = 0; i < out.num_elements(); ++i) data[i] += delta_;
+    }
+
+   private:
+    const std::string node_;
+    const float delta_;
+    const std::shared_ptr<GateHook> gate_;
+  };
+
+  model_ = graph::BuildModel(graph::ModelKind::kResNet50, SmallZoo());
+  auto bundle = RunOfflineTool(model_, Offline(3, 3, /*replicated=*/true));
+  ASSERT_TRUE(bundle.ok());
+  bundle_ = std::move(*bundle);
+  const std::string last = model_.node(model_.outputs()[0]).name;
+  const auto input = MakeBatches(1);
+  const std::vector<Tensor> expected = ReferenceRun(model_, input[0]);
+
+  for (ExecMode mode : {ExecMode::kSync, ExecMode::kAsync}) {
+    SCOPED_TRACE(mode == ExecMode::kSync ? "sync" : "async");
+    // Async only: B is held until the vote on A's and C's reports ran.
+    auto gate = mode == ExecMode::kAsync ? std::make_shared<GateHook>()
+                                         : nullptr;
+    host_ = std::make_unique<VariantHost>(&cpu_, bundle_.store);
+    host_->SetFaultHook("s2.v0", std::make_shared<Shift>(last, 0.0f, nullptr));
+    host_->SetFaultHook("s2.v1", std::make_shared<Shift>(last, 0.6f, gate));
+    host_->SetFaultHook("s2.v2", std::make_shared<Shift>(last, 1.2f, nullptr));
+    MonitorConfig config;
+    config.mode = mode;
+    config.check = CheckPolicy::MaxAbs(1.0);
+    config.vote = VotePolicy::kMajority;
+    config.reaction = ReactionPolicy::ContinueWithWinner();
+    auto monitor = Monitor::Create(&cpu_, config);
+    ASSERT_TRUE(monitor.ok());
+    monitor_ = std::move(*monitor);
+    ASSERT_TRUE(monitor_
+                    ->Initialize(bundle_, MvxSelection::Uniform(bundle_, 3),
+                                 *host_)
+                    .ok());
+    // Stages 0 and 1 agree byte for byte: the first element-wise check
+    // is A's or C's against the other.
+    const obs::Counter& full_checks =
+        monitor_->metrics().GetCounter("monitor.full_checks");
+    const uint64_t full0 = full_checks.value();
+    auto run = std::async(std::launch::async,
+                          [&] { return RunBatches(*monitor_, input); });
+    if (gate) {
+      const bool voted = WaitForCounter(full_checks, full0 + 1);
+      gate->Open();
+      ASSERT_TRUE(voted);
+    }
+    auto out = run.get();
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    const RunStats stats = monitor_->ConsumeStats();
+    EXPECT_EQ(stats.divergences, 1u);
+    EXPECT_EQ(stats.late_divergences, 0u);
+    // A's outputs (no shift), not B's (+0.6).
+    EXPECT_LT(tensor::MaxAbsDiff((*out)[0][0], expected[0]), 0.3);
+    ASSERT_TRUE(monitor_->Shutdown().ok());
+    host_->JoinAll();
+  }
+}
+
+TEST_F(VirtualTimeTest, IdleDeploymentKeepsItsVariants) {
+  // A running variant has no idle timeout: the monitor ends it with
+  // ShutdownMsg or by dropping its channel. An idle spell longer than
+  // the host's recv timeout, which bounds only the bootstrap
+  // handshakes, must leave single-variant stages and panels serving.
+  VariantHost::Options host_options;
+  host_options.recv_timeout_us = 300'000;
+  for (int variants : {1, 3}) {
+    SCOPED_TRACE(variants);
+    Boot(MonitorConfig{}, 3, variants, host_options);
+    const auto batches = MakeBatches(3);
+    ASSERT_TRUE(RunBatches(*monitor_, {batches[0]}).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(800));
+    auto out = RunBatches(*monitor_, {batches[1], batches[2]});
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_TRUE(monitor_->Shutdown().ok());
+    host_->JoinAll();
+  }
 }
 
 TEST_F(VirtualTimeTest, LaggingMemberSkipsBatchesBeyondItsBudget) {
@@ -531,35 +684,31 @@ TEST_F(VirtualTimeTest, VerifyFastPathCatchesNonFinitePoisoning) {
 TEST_F(VirtualTimeTest, EventedMonitorExposesWaitAndPrefilterMetrics) {
   // Replicated 3-variant panels produce byte-identical outputs, so the
   // digest prefilter must absorb every pairwise check; the evented loop
-  // must record blocking waits instead of busy-poll sleeps.
+  // must record blocking waits instead of busy-poll sleeps. Stage 0's
+  // first member is held until the loop parked once: variants can
+  // otherwise finish each stage before the loop's next poll, and a loop
+  // with work at every pass never needs to block.
   MonitorConfig config;
-  Boot(config, 3, 3);
+  auto gate = std::make_shared<GateHook>();
+  Boot(config, 3, 3, {}, gate);
   auto before = obs::Registry::Default().Snapshot();
+  const obs::Histogram& waits =
+      monitor_->metrics().GetHistogram("monitor.wait_us");
+  const uint64_t waits0 = waits.count();
   auto batches = MakeBatches(4);
-  ASSERT_TRUE(RunBatches(*monitor_, batches).ok());
+  auto run = std::async(std::launch::async,
+                        [&] { return RunBatches(*monitor_, batches); });
+  const int64_t give_up = util::NowMicros() + 10'000'000;
+  while (waits.count() == waits0 && util::NowMicros() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  gate->Open();
+  ASSERT_TRUE(run.get().ok());
   auto delta = obs::Registry::Default().Snapshot().DeltaSince(before);
   EXPECT_GT(delta.counters.at("monitor.prefilter_hits"), 0u);
   EXPECT_EQ(delta.counters.at("monitor.full_checks"), 0u);
   EXPECT_GT(delta.histograms.at("monitor.wait_us").count, 0u);
   EXPECT_GT(delta.histograms.at("monitor.verify_job_us").count, 0u);
-}
-
-TEST_F(VirtualTimeTest, PrefilterOffStillCorrect) {
-  // digest_prefilter = false forces full element-wise votes; results
-  // and checkpoint accounting must not change.
-  MonitorConfig config;
-  config.digest_prefilter = false;
-  Boot(config, 3, 3);
-  auto batches = MakeBatches(3);
-  auto out = RunBatches(*monitor_, batches);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  auto stats = monitor_->ConsumeStats();
-  EXPECT_EQ(stats.checkpoints_evaluated, 3u * 3u);
-  EXPECT_EQ(stats.divergences, 0u);
-  for (size_t b = 0; b < batches.size(); ++b) {
-    auto expected = ReferenceRun(model_, batches[b]);
-    EXPECT_GT(tensor::CosineSimilarity((*out)[b][0], expected[0]), 0.999);
-  }
 }
 
 TEST_F(VirtualTimeTest, SequentialPacingKeepsVirtualTimeSane) {
